@@ -39,14 +39,12 @@ from .llm_client import (
     AuthMissing,
     BackendConfig,
     CachedBackend,
-    ChatExchange,
     HttpBackend,
     MockBackend,
     MockRule,
     Timeout,
     Transport,
     backend_calls,
-    chat,
 )
 from .prompting import (
     BUILTIN_SPACES,
@@ -54,12 +52,11 @@ from .prompting import (
     CANDIDATE_ASSIGNMENT,
     FINAL_PREDICTION,
     load_template_dir,
-    parse_label_tags,
-    render_candidate_prompt,
 )
 from .selection import (
     EmptySelection,
     SelectionConfig,
+    assign_candidates,
     build_lookup,
     load_lookup,
     save_lookup,
@@ -336,12 +333,7 @@ def cmd_select(config: dict, args) -> int:
     seed = sel["seed"] if args.seed is None else args.seed
 
     test_id, test_text, _ = _resolve_test_input(config, args, space)
-    system, user = render_candidate_prompt(candidate_template, test_text, space)
-    exchange = chat(backend, ChatExchange(system=system, user=user))
-    try:
-        candidates = parse_label_tags(exchange.reply, space, multi=True)
-    except MarginSelError as exc:
-        raise ConfigError(f"candidate assignment failed for the test input: {exc}")
+    candidates = assign_candidates(backend, candidate_template, test_text, space)
 
     knn_index = None
     if alpha < 1.0:
@@ -387,7 +379,15 @@ def cmd_select(config: dict, args) -> int:
     return 0
 
 
-def _context(config: dict, space, need_lookup: bool, need_store: bool) -> ExperimentContext:
+def _context(config: dict, space, methods: list[MethodSpec]) -> ExperimentContext:
+    """The experiment context for these methods, loading the lookup table
+    and the embedding store only when a method or the fallback uses them."""
+    marginsel = [m for m in methods if m.name == "marginsel"]
+    need_store = (
+        any(m.name == "knn" for m in methods)
+        or any(m.alpha < 1.0 for m in marginsel)
+        or (bool(marginsel) and config["eval"]["fallback"] == "knn")
+    )
     candidate_template, final_template = _templates(config)
     backend = _backend(config, space)
     train, test = _datasets(config, space)
@@ -398,7 +398,7 @@ def _context(config: dict, space, need_lookup: bool, need_store: bool) -> Experi
         backend=backend,
         candidate_template=candidate_template,
         final_template=final_template,
-        lookup=_lookup(config, space) if need_lookup else None,
+        lookup=_lookup(config, space) if marginsel else None,
         store=_store(config, required=need_store),
         max_in_flight=config["backend"]["max_in_flight"],
     )
@@ -414,37 +414,27 @@ def _parse_methods(raw: list) -> list[MethodSpec]:
         extra = set(item) - {"name", "alpha"}
         if extra:
             raise ConfigError(f"unknown method keys {sorted(extra)}; valid: name, alpha")
-        try:
-            methods.append(MethodSpec(item["name"], item.get("alpha")))
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        methods.append(MethodSpec(item["name"], item.get("alpha")))
     return methods
 
 
 def _run_config(config: dict, methods: list[MethodSpec]) -> RunConfig:
     e = config["eval"]
-    try:
-        return RunConfig(
-            methods=methods,
-            shots=e["shots"],
-            seeds=e["seeds"],
-            fallback=e["fallback"],
-            average=e["average"],
-            baseline=e["baseline"],
-            out_dir=e["out_dir"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return RunConfig(
+        methods=methods,
+        shots=e["shots"],
+        seeds=e["seeds"],
+        fallback=e["fallback"],
+        average=e["average"],
+        baseline=e["baseline"],
+        out_dir=e["out_dir"],
+    )
 
 
 def cmd_eval(config: dict, args) -> int:
     space = _space(config)
     methods = _parse_methods(config["eval"]["methods"])
-    need_lookup = any(m.name == "marginsel" for m in methods)
-    need_store = any(
-        m.name == "knn" or (m.name == "marginsel" and m.alpha < 1.0) for m in methods
-    ) or (need_lookup and config["eval"]["fallback"] == "knn")
-    ctx = _context(config, space, need_lookup, need_store)
+    ctx = _context(config, space, methods)
     report = run_experiment(ctx, _run_config(config, methods))
     for row in report.summary:
         marker = " *" if row.get("significant_vs_baseline") else ""
@@ -463,8 +453,7 @@ def cmd_eval(config: dict, args) -> int:
 def cmd_sweep(config: dict, args) -> int:
     space = _space(config)
     alphas = config["sweep"]["alphas"]
-    need_store = any(a < 1.0 for a in alphas) or config["eval"]["fallback"] == "knn"
-    ctx = _context(config, space, need_lookup=True, need_store=need_store)
+    ctx = _context(config, space, [MethodSpec("marginsel", alpha=a) for a in alphas])
     placeholder = [MethodSpec("marginsel", alpha=1.0)]
     rows = alpha_sweep(ctx, _run_config(config, placeholder), alphas)
     for row in rows:
@@ -479,18 +468,10 @@ def cmd_predict(config: dict, args) -> int:
     space = _space(config)
     method_name = args.method or "marginsel"
     alpha = config["select"]["alpha"] if args.alpha is None else args.alpha
-    try:
-        method = MethodSpec(method_name, alpha if method_name == "marginsel" else None)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    method = MethodSpec(method_name, alpha if method_name == "marginsel" else None)
     shots = config["select"]["shots"] if args.shots is None else args.shots
     seed = config["select"]["seed"] if args.seed is None else args.seed
-    need_store = (
-        method.name == "knn"
-        or (method.name == "marginsel" and method.alpha < 1.0)
-        or (method.name == "marginsel" and config["eval"]["fallback"] == "knn")
-    )
-    ctx = _context(config, space, need_lookup=method.name == "marginsel", need_store=need_store)
+    ctx = _context(config, space, [method])
     test_id, test_text, gold = _resolve_test_input(config, args, space)
     example = Example(id=test_id, text=test_text, gold=gold or space.labels[0])
     predicted, record = predict_one(

@@ -8,6 +8,7 @@ A :class:`LabelSpace` fixes an ordered list of class labels; a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -24,6 +25,11 @@ class UnknownLabel(MarginSelError):
         self.line_no = line_no
         where = f" (line {line_no})" if line_no is not None else ""
         super().__init__(f"unknown label {name!r}{where}")
+
+
+def round_half_up(x: float) -> int:
+    """Nearest integer with halves rounded up (round() rounds them to even)."""
+    return math.floor(x + 0.5)
 
 
 def canonical_label(name: str) -> str:

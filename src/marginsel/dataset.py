@@ -7,12 +7,11 @@ Datasets are UTF-8 JSON-lines files, one object per line with keys ``id``,
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import Example, LabelSpace, MarginSelError, UnknownLabel, canonical_label
+from .core import Example, LabelSpace, MarginSelError, UnknownLabel, canonical_label, round_half_up
 
 
 class ParseError(MarginSelError):
@@ -132,10 +131,6 @@ def label_frequency(ds: Dataset) -> LabelFrequency:
     return LabelFrequency({label: n / total for label, n in counts.items()})
 
 
-def _round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
-
-
 def stratified_split(
     ds: Dataset, test_fraction: float, seed: int
 ) -> tuple[Dataset, Dataset]:
@@ -157,12 +152,12 @@ def stratified_split(
             raise ClassTooSmall(label)
 
     targets = {
-        label: min(max(_round_half_up(test_fraction * len(groups[label])), 1),
+        label: min(max(round_half_up(test_fraction * len(groups[label])), 1),
                    len(groups[label]) - 1)
         for label in labels_present
     }
     n_classes = len(labels_present)
-    global_target = _round_half_up(test_fraction * len(ds))
+    global_target = round_half_up(test_fraction * len(ds))
     global_target = min(max(global_target, n_classes), len(ds) - n_classes)
 
     # Nudge per-class targets toward the global target, preferring the move

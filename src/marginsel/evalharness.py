@@ -27,21 +27,22 @@ from scipy import stats as scipy_stats
 from .core import CandidateSet, Example, LabelSpace, MarginSelError, canonical_label
 from .dataset import Dataset, LabelFrequency, label_frequency
 from .knn import EmbeddingStore, knn_retrieve
-from .llm_client import Backend, ChatExchange, chat
-from .llm_client import map_concurrently
+from .llm_client import Backend, map_concurrently
 from .prompting import (
     Ambiguous,
     EmptySet,
     NoTag,
     PromptTemplate,
     parse_label_tags,
-    render_candidate_prompt,
+    render_candidate_prompt,  # not called here; bench/tracing.py spans this binding
     render_final_prompt,
 )
 from .selection import (
     EmptySelection,
     LookupEntry,
     SelectionConfig,
+    assign_candidates,
+    build_lookup,
     select_demos,
 )
 
@@ -182,16 +183,6 @@ def _train_ids(ctx: ExperimentContext) -> list[str]:
     return [ex.id for ex in ctx.train.examples]
 
 
-def _step1_candidates(ctx: ExperimentContext, test: Example) -> CandidateSet | None:
-    system, user = render_candidate_prompt(ctx.candidate_template, test.text, ctx.space)
-    exchange = chat(ctx.backend, ChatExchange(system=system, user=user))
-    try:
-        return parse_label_tags(exchange.reply, ctx.space, multi=True)
-    except (NoTag, EmptySet) as exc:
-        log.warning("test-example candidate parse failed for %s: %s", test.id, exc)
-        return None
-
-
 def _fallback_demos(
     ctx: ExperimentContext, policy: str, shots: int, test: Example, seed: int
 ) -> list[tuple[Example, str]]:
@@ -212,9 +203,10 @@ def _choose_demos(
     test: Example,
     seed: int,
     fallback_policy: str,
+    step1: CandidateSet | None,
 ) -> tuple[list[tuple[Example, str]], CandidateSet | None, bool]:
     """Demos as (example, source) pairs, the test's assignment-step candidate
-    set (marginsel only), and whether the fallback policy fired."""
+    set (marginsel only; assigned here unless given), and whether the fallback fired."""
     if method.name == RANDOM:
         rng = random.Random(derive_seed(seed, "random", test.id))
         picked = rng.sample(list(ctx.train.examples), min(shots, len(ctx.train)))
@@ -225,7 +217,8 @@ def _choose_demos(
         ids = knn_retrieve(ctx.store, test.id, shots, _train_ids(ctx))
         return [(ctx.train.by_id(i), "knn") for i in ids], None, False
 
-    step1 = _step1_candidates(ctx, test)
+    if step1 is None:
+        step1 = assign_candidates(ctx.backend, ctx.candidate_template, test.text, ctx.space)
     selection_cfg = SelectionConfig(
         alpha=method.alpha,
         shots=shots,
@@ -246,23 +239,23 @@ def predict_one(
     test: Example,
     seed: int,
     fallback_policy: str = FALLBACK_KNN,
+    step1: CandidateSet | None = None,
 ) -> tuple[str, dict]:
     """Predict one test example: select demos per method, render the final
-    prompt, parse the single-label reply.  One deterministic retry on a
-    malformed reply, then the INVALID token."""
+    prompt, parse the single-label reply; a malformed reply predicts the
+    INVALID token.  step1 is the test's assignment-step candidate set when
+    the caller already has it (marginsel only)."""
     demos, step1, fell_back = _choose_demos(
-        ctx, method, shots, test, seed, fallback_policy
+        ctx, method, shots, test, seed, fallback_policy, step1
     )
     pairs = [(ex.text, ex.gold) for ex, _ in demos]
     system, user = render_final_prompt(ctx.final_template, pairs, test.text, ctx.space)
-    predicted = INVALID
-    for _ in range(2):
-        exchange = chat(ctx.backend, ChatExchange(system=system, user=user))
-        try:
-            predicted = parse_label_tags(exchange.reply, ctx.space, multi=False)
-            break
-        except (NoTag, EmptySet, Ambiguous) as exc:
-            log.warning("final parse failed for %s: %s", test.id, exc)
+    reply, _ = ctx.backend.complete(system, user)
+    try:
+        predicted = parse_label_tags(reply, ctx.space, multi=False)
+    except (NoTag, EmptySet, Ambiguous) as exc:
+        log.warning("final parse failed for %s: %s", test.id, exc)
+        predicted = INVALID
     record = {
         "method": method.label(),
         "shot": shots,
@@ -272,7 +265,7 @@ def predict_one(
         "predicted": predicted,
         "demo_ids": [ex.id for ex, _ in demos],
         "demo_sources": [src for _, src in demos],
-        "step1": sorted(step1.labels_in(ctx.space)) if step1 is not None else None,
+        "step1": None if step1 is None or step1.is_empty else sorted(step1.labels_in(ctx.space)),
         "fallback": fell_back,
     }
     return predicted, record
@@ -297,14 +290,22 @@ def _load_records(path: Path) -> dict[tuple, dict[str, dict]]:
 
 def run_experiment(ctx: ExperimentContext, cfg: RunConfig) -> RunReport:
     """Execute the full grid.  Already-recorded cells are skipped; per-cell
-    failures are annotated rather than aborting the run."""
+    failures are annotated rather than aborting the run.  Step 1 runs at most
+    once per test example per run, when a marginsel cell first needs it."""
     out_dir = Path(cfg.out_dir) if cfg.out_dir is not None else None
     records_path = out_dir / "records.jsonl" if out_dir else None
     existing = _load_records(records_path) if records_path else {}
+    test_order = {ex.id: i for i, ex in enumerate(ctx.test.examples)}
+    stale = sorted({i for recs in existing.values() for i in recs} - test_order.keys())
+    if stale:
+        raise MarginSelError(
+            f"run directory {out_dir} holds records of ids outside the test split "
+            f"(first: {stale[0]!r}); use another eval.out_dir or remove it"
+        )
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    test_order = {ex.id: i for i, ex in enumerate(ctx.test.examples)}
+    step1: dict[str, CandidateSet] = {}  # test id -> step-1 candidate set
     all_records: list[dict] = []
     cells: list[dict] = []
     for method in cfg.methods:
@@ -322,9 +323,14 @@ def run_experiment(ctx: ExperimentContext, cfg: RunConfig) -> RunReport:
                     pending = [
                         ex for ex in ctx.test.examples if ex.id not in cached
                     ]
+                    if method.name == MARGINSEL:
+                        missing = tuple(ex for ex in pending if ex.id not in step1)
+                        assigned = build_lookup(Dataset(ctx.space, missing), ctx.backend,
+                                                ctx.candidate_template, ctx.max_in_flight)
+                        step1.update((e.example.id, e.candidates) for e in assigned)
                     fresh = map_concurrently(
                         lambda ex: predict_one(
-                            ctx, method, shot, ex, seed, cfg.fallback
+                            ctx, method, shot, ex, seed, cfg.fallback, step1.get(ex.id)
                         )[1],
                         pending,
                         ctx.max_in_flight,

@@ -49,17 +49,6 @@ class AuthMissing(MarginSelError):
         super().__init__(f"environment variable {env_var!r} is not set")
 
 
-@dataclass
-class ChatExchange:
-    """One system/user request and the verbatim model reply."""
-
-    system: str
-    user: str
-    reply: str | None = None
-    latency: float = 0.0
-    attempt_count: int = 0
-
-
 @dataclass(frozen=True)
 class BackendConfig:
     base_url: str = ""
@@ -70,8 +59,6 @@ class BackendConfig:
     api_key_env: str | None = None
     max_output_tokens: int = 256
     backoff_base: float = 0.5
-    cache_dir: str | None = None
-    max_in_flight: int = 4
 
     def __post_init__(self):
         if self.temperature < 0:
@@ -85,17 +72,6 @@ class Backend(Protocol):
     temperature: float
 
     def complete(self, system: str, user: str) -> tuple[str, int]: ...
-
-
-def chat(backend: Backend, exchange: ChatExchange) -> ChatExchange:
-    """Send an exchange through a backend, recording the verbatim reply,
-    wall-clock latency and the number of attempts it took."""
-    start = time.monotonic()
-    reply, attempts = backend.complete(exchange.system, exchange.user)
-    exchange.reply = reply
-    exchange.latency = time.monotonic() - start
-    exchange.attempt_count = attempts
-    return exchange
 
 
 _RETRYABLE_STATUS = range(500, 600)
@@ -264,7 +240,8 @@ class MockBackend:
 class CachedBackend:
     """Disk cache around any backend.  One JSON file per request, named by
     the sha256 of (model, system, user, temperature); writes are serialized
-    so concurrent requests cannot interleave."""
+    so concurrent requests cannot interleave.  An entry that cannot be read
+    or parsed counts as a miss and is rewritten."""
 
     def __init__(self, backend: Backend, cache_dir: str | Path):
         self.backend = backend
@@ -286,11 +263,17 @@ class CachedBackend:
 
     def complete(self, system: str, user: str) -> tuple[str, int]:
         path = self._key(system, user)
-        if path.exists():
-            with self._lock:
-                record = json.loads(path.read_text(encoding="utf-8"))
-            self.hits += 1
-            return record["reply"], 0
+        with self._lock:
+            try:
+                reply = json.loads(path.read_text(encoding="utf-8"))["reply"]
+            except FileNotFoundError:
+                reply = None
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                log.warning("unreadable cache entry %s, asking again: %s", path.name, exc)
+                reply = None
+            if isinstance(reply, str):
+                self.hits += 1
+                return reply, 0
         reply, attempts = self.backend.complete(system, user)
         with self._lock:
             tmp = path.with_suffix(".tmp")
@@ -309,7 +292,7 @@ class CachedBackend:
                 encoding="utf-8",
             )
             tmp.replace(path)
-        self.misses += 1
+            self.misses += 1
         return reply, attempts
 
 

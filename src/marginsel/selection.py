@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,10 +25,11 @@ from .core import (
     LabelSpace,
     MarginSelError,
     candidate_set_from_labels,
+    round_half_up,
 )
 from .dataset import Dataset, LabelFrequency
 from .knn import EmbeddingStore, knn_retrieve
-from .llm_client import Backend, ChatExchange, chat, map_concurrently
+from .llm_client import Backend, map_concurrently
 from .prompting import (
     EmptySet,
     NoTag,
@@ -103,9 +103,23 @@ class DemoSet:
     def ids(self) -> list[str]:
         return [e.example.id for e in self.entries]
 
-    def pairs(self) -> list[tuple[str, str]]:
-        """(text, gold) pairs in prompt order."""
-        return [(e.example.text, e.example.gold) for e in self.entries]
+
+def assign_candidates(
+    backend: Backend, template: PromptTemplate, text: str, space: LabelSpace
+) -> CandidateSet:
+    """Step 1 for one input, training or test: render the multi-label
+    assignment prompt, send it, and parse the reply into a candidate set.
+
+    A reply that carries no parseable known label yields the empty set
+    (logged, never fatal), which can never hard-match anything.
+    """
+    system, user = render_candidate_prompt(template, text, space)
+    reply, _ = backend.complete(system, user)
+    try:
+        return parse_label_tags(reply, space, multi=True)
+    except (NoTag, EmptySet) as exc:
+        log.warning("candidate parse failed for %.60r: %s", text, exc)
+        return CandidateSet.empty(space)
 
 
 def build_lookup(
@@ -114,22 +128,14 @@ def build_lookup(
     template: PromptTemplate,
     max_in_flight: int = 4,
 ) -> list[LookupEntry]:
-    """Run the multi-label assignment prompt over every training example.
+    """Run step 1 over every example of a dataset, in dataset order.
 
-    Replies that carry no parseable known label produce an entry with the
-    empty candidate set (logged, never fatal): such entries are kept for
-    bookkeeping but can never hard-match a test input.
+    Entries whose assignment failed carry the empty candidate set: they are
+    kept for bookkeeping but can never hard-match a test input.
     """
-    space = train.space
 
     def assign(example: Example) -> LookupEntry:
-        system, user = render_candidate_prompt(template, example.text, space)
-        exchange = chat(backend, ChatExchange(system=system, user=user))
-        try:
-            candidates = parse_label_tags(exchange.reply, space, multi=True)
-        except (NoTag, EmptySet) as exc:
-            log.warning("candidate parse failed for %s: %s", example.id, exc)
-            candidates = CandidateSet.empty(space)
+        candidates = assign_candidates(backend, template, example.text, train.space)
         return LookupEntry(example=example, candidates=candidates)
 
     return map_concurrently(assign, train.examples, max_in_flight)
@@ -184,20 +190,6 @@ def match_hard(
     return [e for e in lookup if e.candidates == test_candidates]
 
 
-def inverse_frequency_weights(
-    matched: Sequence[LookupEntry], rho: LabelFrequency
-) -> list[float]:
-    """Normalized sampling weights w_i / sum(w) with w_i = 1/rho(gold_i)."""
-    raw = []
-    for entry in matched:
-        try:
-            raw.append(rho.weight(entry.example.gold))
-        except KeyError:
-            raise MissingFrequency(entry.example.gold) from None
-    total = sum(raw)
-    return [w / total for w in raw]
-
-
 def weighted_sample(
     matched: Sequence[LookupEntry],
     k: int,
@@ -242,10 +234,6 @@ def weighted_sample(
     return picked
 
 
-def _round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
-
-
 def select_demos(
     lookup: Sequence[LookupEntry],
     test_candidates: CandidateSet | None,
@@ -266,7 +254,7 @@ def select_demos(
     """
     if not lookup:
         raise ValueError("lookup table is empty")
-    quota = _round_half_up(cfg.alpha * cfg.shots)
+    quota = round_half_up(cfg.alpha * cfg.shots)
     if test_candidates is None or test_candidates.is_empty:
         matched: list[LookupEntry] = []
     else:

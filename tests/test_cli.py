@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+from marginsel import cli
 from marginsel.cli import main
 
 from conftest import write_jsonl
@@ -156,6 +157,28 @@ def test_select_empty_selection_exits_4(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["candidate_key"] == "111"
     assert "alpha" in out["error"]
+
+
+def test_select_unparseable_assignment_exits_4(tmp_path, capsys, monkeypatch):
+    class NoTagBackend:
+        model_name = "no-tag"
+        temperature = 0.0
+
+        def complete(self, system, user):
+            return "I cannot decide.", 1
+
+    config_path = make_workspace(tmp_path)
+    main(["--config", str(config_path), "assign"])
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_backend", lambda config, space: NoTagBackend())
+    code = main(
+        [
+            "--config", str(config_path),
+            "select", "--test-text", "sigone fresh thing", "--alpha", "1.0",
+        ]
+    )
+    assert code == 4
+    assert json.loads(capsys.readouterr().out)["candidate_key"] == "000"
 
 
 def test_select_mixed_alpha_quota(tmp_path, capsys):

@@ -1,9 +1,10 @@
+import json
 import random
 from collections import Counter
 
 import pytest
 
-from marginsel.core import LabelSpace
+from marginsel.core import LabelSpace, MarginSelError
 from marginsel.evalharness import (
     INVALID,
     EmptyInput,
@@ -17,7 +18,7 @@ from marginsel.evalharness import (
     run_experiment,
 )
 from marginsel.knn import knn_retrieve
-from marginsel.llm_client import backend_calls
+from marginsel.llm_client import CachedBackend, Transport, backend_calls
 
 from conftest import (
     MajorityEchoBackend,
@@ -143,7 +144,7 @@ def test_predict_one_random_is_reproducible():
     assert third[1]["demo_ids"] != first[1]["demo_ids"]
 
 
-def test_predict_one_invalid_after_retry():
+def test_predict_one_invalid_after_one_request():
     class GarbageBackend:
         model_name = "garbage"
         temperature = 0.0
@@ -161,7 +162,34 @@ def test_predict_one_invalid_after_retry():
         ctx, MethodSpec("random"), 2, ctx.test.examples[0], seed=0
     )
     assert predicted == INVALID
-    assert ctx.backend.calls == 2  # one retry, then give up
+    assert ctx.backend.calls == 1
+
+
+class FirstReplyGarbageBackend:
+    """Replies garbage to the first request for each prompt and a valid label
+    to every repeat of it."""
+
+    model_name = "first-garbage"
+    temperature = 0.0
+
+    def __init__(self):
+        self.seen = set()
+
+    def complete(self, system, user):
+        if user in self.seen:
+            return "<label>red</label>", 1
+        self.seen.add(user)
+        return "garbage", 1
+
+
+def test_cached_and_uncached_predictions_agree(tmp_path):
+    ctx = _echo_ctx([("1", "x", "red"), ("2", "y", "green")])
+    test = ctx.test.examples[0]
+    ctx.backend = FirstReplyGarbageBackend()
+    uncached, _ = predict_one(ctx, MethodSpec("random"), 2, test, seed=0)
+    ctx.backend = CachedBackend(FirstReplyGarbageBackend(), tmp_path / "cache")
+    cached, _ = predict_one(ctx, MethodSpec("random"), 2, test, seed=0)
+    assert cached == uncached == INVALID
 
 
 def test_random_inclusion_is_uniform():
@@ -285,6 +313,106 @@ def test_run_experiment_resume_completes_partial_cells(tmp_path):
     )
     assert (partial_dir / "records.jsonl").read_text().splitlines() == full_records
     assert resumed.cells[0]["macro_f1"] == full.cells[0]["macro_f1"]
+
+
+class Step1Counter:
+    """Passes requests through, counting the multi-label assignment ones."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.model_name = backend.model_name
+        self.temperature = backend.temperature
+        self.step1 = 0
+
+    def complete(self, system, user):
+        if "comma-separated" in user:
+            self.step1 += 1
+        return self.backend.complete(system, user)
+
+
+def test_step1_runs_once_per_test_input():
+    ctx = planted_pipeline()
+    ctx.backend = Step1Counter(ctx.backend)
+    cfg = RunConfig(
+        methods=[MethodSpec("marginsel", alpha=1.0)],
+        shots=[2, 3],
+        seeds=[1, 2],
+        fallback="random",
+    )
+    report = run_experiment(ctx, cfg)
+    assert not report.failed_cells
+    assert len(ctx.test) == 9
+    assert ctx.backend.step1 == 9
+
+
+def test_step1_backend_error_fails_only_marginsel_cells():
+    class Step1Down:
+        model_name = "step1-down"
+        temperature = 0.0
+
+        def __init__(self, backend):
+            self.backend = backend
+
+        def complete(self, system, user):
+            if "comma-separated" in user:
+                raise Transport("HTTP 503: unavailable", status=503)
+            return self.backend.complete(system, user)
+
+    ctx = planted_pipeline()
+    ctx.backend = Step1Down(ctx.backend)
+    cfg = RunConfig(
+        methods=[MethodSpec("random"), MethodSpec("marginsel", alpha=1.0)],
+        shots=[2],
+        seeds=[1, 2],
+        fallback="random",
+    )
+    report = run_experiment(ctx, cfg)
+    assert [c["method"] for c in report.failed_cells] == ["marginsel(alpha=1)"] * 2
+    assert all("503" in c["error"] for c in report.failed_cells)
+    assert sum("macro_f1" in c for c in report.cells) == 2
+
+
+def test_stale_run_directory_fails_before_predicting(tmp_path):
+    cfg = RunConfig(
+        methods=[MethodSpec("random")], shots=[2], seeds=[1], out_dir=tmp_path / "run"
+    )
+    run_experiment(planted_pipeline(), cfg)
+    smaller = planted_pipeline(n_test_per_sig=2)  # drops te-a2, te-b2, te-g2
+    calls = smaller.backend.calls
+    with pytest.raises(MarginSelError) as excinfo:
+        run_experiment(smaller, cfg)
+    assert str(tmp_path / "run") in str(excinfo.value)
+    assert smaller.backend.calls == calls
+
+
+def test_corrupt_cache_entries_are_misses(tmp_path):
+    ctx = planted_pipeline()
+    model = ctx.backend
+
+    def run(name):
+        cfg = RunConfig(
+            methods=[MethodSpec("random"), MethodSpec("marginsel", alpha=1.0)],
+            shots=[2],
+            seeds=[1],
+            fallback="random",
+            out_dir=tmp_path / name,
+        )
+        run_experiment(ctx, cfg)
+
+    ctx.backend = CachedBackend(model, tmp_path / "cache")
+    run("first")
+    entries = sorted((tmp_path / "cache").glob("*.json"))
+    for path in entries:
+        path.write_bytes(path.read_bytes()[:20])
+    ctx.backend = CachedBackend(model, tmp_path / "cache")
+    run("second")
+    for name in ("records.jsonl", "report.json", "report.csv"):
+        assert (tmp_path / "first" / name).read_bytes() == (
+            tmp_path / "second" / name
+        ).read_bytes()
+    assert (ctx.backend.hits, ctx.backend.misses) == (0, len(entries))
+    for path in entries:
+        assert isinstance(json.loads(path.read_text(encoding="utf-8"))["reply"], str)
 
 
 def test_end_to_end_reproducibility(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -10,13 +11,12 @@ from marginsel.llm_client import (
     AuthMissing,
     BackendConfig,
     CachedBackend,
-    ChatExchange,
     HttpBackend,
     MockBackend,
     MockRule,
     Timeout,
     Transport,
-    chat,
+    map_concurrently,
     mock_multilabel,
 )
 
@@ -58,11 +58,9 @@ def test_mock_multilabel_default_and_purity():
 def test_mock_chat_reply_single_label():
     rule = MockRule({"terrible": frozenset({"negative"})}, default="neutral")
     backend = MockBackend(rule, SST5)
-    exchange = chat(
-        backend, ChatExchange(system="s", user="this movie is terrible")
-    )
-    assert exchange.reply == "<label>negative</label>"
-    assert exchange.attempt_count == 1
+    reply, attempts = backend.complete("s", "this movie is terrible")
+    assert reply == "<label>negative</label>"
+    assert attempts == 1
 
 
 def test_mock_chat_multi_when_prompt_asks_comma_separated():
@@ -150,9 +148,9 @@ def test_http_success_sends_expected_shape(server, monkeypatch):
     base_url, handler = server
     monkeypatch.setenv("TEST_API_KEY", "sekrit")
     backend = HttpBackend(_config(base_url, api_key_env="TEST_API_KEY"))
-    exchange = chat(backend, ChatExchange(system="sys prompt", user="user prompt"))
-    assert exchange.reply == "<label>ok</label>"
-    assert exchange.attempt_count == 1
+    reply, attempts = backend.complete("sys prompt", "user prompt")
+    assert reply == "<label>ok</label>"
+    assert attempts == 1
     request = handler.seen[0]
     assert request["path"] == "/chat/completions"
     assert request["auth"] == "Bearer sekrit"
@@ -272,3 +270,17 @@ def test_cache_survives_backend_swap(tmp_path, server):
     assert cached.complete("s", "u")[0] == "first"
     assert cached.complete("s", "u")[0] == "first"
     assert len(handler.seen) == 1
+
+
+def test_cache_counters_lose_no_update_under_threads(tmp_path):
+    rule = MockRule({"x": frozenset({"positive"})}, default="neutral")
+    backend = CachedBackend(MockBackend(rule, SST5), tmp_path)
+    prompts = [f"x {i % 20}" for i in range(1600)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        map_concurrently(lambda user: backend.complete("s", user), prompts, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert backend.hits + backend.misses == len(prompts)
+    assert backend.misses >= 20

@@ -4,7 +4,6 @@ import string
 import pytest
 
 from marginsel.core import LabelSpace, candidate_key
-from marginsel.llm_client import ChatExchange, chat
 from marginsel.prompting import (
     Ambiguous,
     BUILTIN_SPACES,
@@ -148,8 +147,8 @@ def test_round_trip_render_then_echo_parses_back():
     backend = MajorityEchoBackend(space)
     demos = [("one", "green"), ("two", "green"), ("three", "red")]
     system, user = render_final_prompt(final, demos, "query text", space)
-    exchange = chat(backend, ChatExchange(system=system, user=user))
-    assert parse_label_tags(exchange.reply, space, multi=False) == "green"
+    reply, _ = backend.complete(system, user)
+    assert parse_label_tags(reply, space, multi=False) == "green"
 
 
 def test_load_template_dir(tmp_path):

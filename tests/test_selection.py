@@ -19,7 +19,6 @@ from marginsel.selection import (
     MissingFrequency,
     SelectionConfig,
     build_lookup,
-    inverse_frequency_weights,
     load_lookup,
     match_hard,
     save_lookup,
@@ -149,14 +148,6 @@ def test_small_pool_returned_unchanged():
     rho = _rho(red=1.0)
     assert weighted_sample(matched, 5, rho, seed=1) == matched
     assert weighted_sample(matched, 3, rho, seed=1) == matched
-
-
-def test_normalized_weights_arithmetic():
-    matched = [entry("1", "a", "100", LabelSpace(["a", "b", "c"])),
-               entry("2", "a", "100", LabelSpace(["a", "b", "c"])),
-               entry("3", "b", "010", LabelSpace(["a", "b", "c"]))]
-    rho = _rho(a=0.5, b=0.25, c=0.25)
-    assert inverse_frequency_weights(matched, rho) == pytest.approx([0.25, 0.25, 0.5])
 
 
 def test_missing_frequency():
