@@ -2,7 +2,8 @@
 
 One JSON config file drives every subcommand; ``--set key.path=value``
 overrides individual keys (values parsed as JSON, falling back to raw
-strings).  Unknown keys are rejected, listing the valid ones.
+strings), merged as the same nested object in the file would be.  Unknown
+keys are rejected, listing the valid ones.
 
 Subcommands: assign, select, predict, eval, sweep, analyze, theory-check.
 Exit codes: 0 ok, 2 config error, 3 backend failure, 4 empty hard selection
@@ -31,6 +32,7 @@ from .evalharness import (
     MethodSpec,
     RunConfig,
     alpha_sweep,
+    load_records,
     predict_one,
     run_experiment,
 )
@@ -120,7 +122,8 @@ DEFAULT_CONFIG: dict = {
     },
 }
 
-# Keys whose values are free-form mappings/lists rather than fixed sub-schemas.
+# Keys whose values are free-form mappings/lists rather than fixed sub-schemas;
+# they are set as a whole.
 _OPAQUE_KEYS = {
     ("backend", "mock_rules"),
     ("eval", "methods"),
@@ -142,32 +145,31 @@ def _merge(base: dict, override: dict, path: tuple = ()) -> dict:
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {'.'.join(here)!r} must be an object")
             merged[key] = _merge(base[key], value, here)
+        elif isinstance(value, dict) and here not in _OPAQUE_KEYS:
+            raise ConfigError(f"config key {'.'.join(here)!r} is a value, not an object")
         else:
             merged[key] = copy.deepcopy(value)
     return merged
 
 
-def _apply_override(config: dict, assignment: str) -> None:
+def _apply_override(config: dict, assignment: str) -> dict:
+    """config with ``a.b.c=value`` merged in as ``{"a": {"b": {"c": value}}}``."""
     if "=" not in assignment:
         raise ConfigError(f"override {assignment!r} is not of the form key=value")
     dotted, raw = assignment.split("=", 1)
-    keys = dotted.split(".")
+    keys = tuple(dotted.split("."))
+    for i in range(1, len(keys)):
+        if keys[:i] in _OPAQUE_KEYS:
+            raise ConfigError(
+                f"unknown config key {dotted!r}; set {'.'.join(keys[:i])!r} as a whole"
+            )
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    node = config
-    schema = DEFAULT_CONFIG
-    for key in keys[:-1]:
-        if not isinstance(schema, dict) or key not in schema:
-            raise ConfigError(f"unknown config key {dotted!r}")
-        schema = schema[key]
-        node = node.setdefault(key, {})
-    leaf = keys[-1]
-    if not isinstance(schema, dict) or leaf not in schema:
-        valid = ", ".join(sorted(schema)) if isinstance(schema, dict) else "(none)"
-        raise ConfigError(f"unknown config key {dotted!r}; valid keys here: {valid}")
-    node[leaf] = value
+    for key in reversed(keys):
+        value = {key: value}
+    return _merge(config, value)
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
@@ -183,7 +185,7 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             raise ConfigError("config root must be a JSON object")
     config = _merge(DEFAULT_CONFIG, user)
     for assignment in overrides:
-        _apply_override(config, assignment)
+        config = _apply_override(config, assignment)
     return config
 
 
@@ -346,37 +348,23 @@ def cmd_select(config: dict, args) -> int:
     rho = label_frequency(
         Dataset(space, tuple(e.example for e in lookup))
     )
+    result = {"test_id": test_id, "candidate_key": candidate_key(candidates)}
     try:
         demos = select_demos(
             lookup, candidates, knn_index, rho, SelectionConfig(alpha, shots, seed)
         )
     except EmptySelection:
-        print(
-            json.dumps(
-                {
-                    "test_id": test_id,
-                    "candidate_key": candidate_key(candidates),
-                    "error": "no hard match at alpha=1; rerun with alpha<1 "
-                    "or rely on the eval fallback policy",
-                },
-                indent=2,
-            )
+        result["error"] = (
+            "no hard match at alpha=1; rerun with alpha<1 "
+            "or rely on the eval fallback policy"
         )
-        return 4
-    print(
-        json.dumps(
-            {
-                "test_id": test_id,
-                "candidate_key": candidate_key(candidates),
-                "demos": [
-                    {"id": e.example.id, "gold": e.example.gold, "source": e.source}
-                    for e in demos
-                ],
-            },
-            indent=2,
-        )
-    )
-    return 0
+    else:
+        result["demos"] = [
+            {"id": e.example.id, "gold": e.example.gold, "source": e.source}
+            for e in demos
+        ]
+    print(json.dumps(result, indent=2))
+    return 4 if "error" in result else 0
 
 
 def _context(config: dict, space, methods: list[MethodSpec]) -> ExperimentContext:
@@ -391,6 +379,14 @@ def _context(config: dict, space, methods: list[MethodSpec]) -> ExperimentContex
     candidate_template, final_template = _templates(config)
     backend = _backend(config, space)
     train, test = _datasets(config, space)
+    lookup = None
+    if marginsel:
+        lookup = _lookup(config, space)
+        if tuple(e.example for e in lookup) != train.examples:
+            raise ConfigError(
+                f"lookup table {config['lookup']['path']} does not hold the train "
+                "split's examples in order; rerun 'assign' with this config"
+            )
     return ExperimentContext(
         space=space,
         train=train,
@@ -398,7 +394,7 @@ def _context(config: dict, space, methods: list[MethodSpec]) -> ExperimentContex
         backend=backend,
         candidate_template=candidate_template,
         final_template=final_template,
-        lookup=_lookup(config, space) if marginsel else None,
+        lookup=lookup,
         store=_store(config, required=need_store),
         max_in_flight=config["backend"]["max_in_flight"],
     )
@@ -442,26 +438,30 @@ def cmd_eval(config: dict, args) -> int:
             f"{row['method']:>24}  shot={row['shot']:<3} "
             f"macro_f1={row['mean_macro_f1']:.4f} +- {row['stdev_macro_f1']:.4f}{marker}"
         )
-    for cell in report.failed_cells:
+    print(f"report: {config['eval']['out_dir']}/report.json")
+    return _finish(ctx, report.failed_cells)
+
+
+def _finish(ctx: ExperimentContext, failed_cells: list[dict]) -> int:
+    """Report failed cells and backend calls; exit 3 if any cell failed."""
+    for cell in failed_cells:
         print(f"FAILED cell {cell['method']} shot={cell['shot']} seed={cell['seed']}: "
               f"{cell['error']}")
-    print(f"report: {config['eval']['out_dir']}/report.json")
     print(f"backend calls: {backend_calls(ctx.backend)}")
-    return 3 if report.failed_cells else 0
+    return 3 if failed_cells else 0
 
 
 def cmd_sweep(config: dict, args) -> int:
     space = _space(config)
     alphas = config["sweep"]["alphas"]
-    ctx = _context(config, space, [MethodSpec("marginsel", alpha=a) for a in alphas])
-    placeholder = [MethodSpec("marginsel", alpha=1.0)]
-    rows = alpha_sweep(ctx, _run_config(config, placeholder), alphas)
+    methods = [MethodSpec("marginsel", alpha=a) for a in alphas]
+    ctx = _context(config, space, methods)
+    rows = alpha_sweep(ctx, _run_config(config, methods), alphas)
     for row in rows:
         mean = row["mean_macro_f1"]
         shown = "error" if mean is None else f"{mean:.4f}"
         print(f"alpha={row['alpha']:<5} mean_macro_f1={shown}")
-    print(f"backend calls: {backend_calls(ctx.backend)}")
-    return 3 if any(r["mean_macro_f1"] is None for r in rows) else 0
+    return _finish(ctx, [c for row in rows for c in row["cells"] if c.get("error")])
 
 
 def cmd_predict(config: dict, args) -> int:
@@ -516,34 +516,23 @@ def cmd_analyze(config: dict, args) -> int:
         )
         wrote += ["histogram.json", "histogram.csv"]
 
-    records_path = a["records_path"] or (
-        Path(config["eval"]["out_dir"]) / "records.jsonl"
-    )
-    records_path = Path(records_path)
-    if records_path.exists():
-        records = []
-        with open(records_path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                raw = json.loads(line)
-                if raw.get("step1") is None:
-                    candidates = None
-                else:
-                    candidates = candidate_set_from_labels(raw["step1"], space)
-                records.append(
-                    analysis.Step1Record(
-                        gold=raw["gold"],
-                        predicted=raw["predicted"],
-                        candidates=candidates,
-                    )
-                )
-        if records:
-            recall = analysis.step1_recall(records, space)
-            analysis.write_recall_outputs(
-                recall, out_dir / "step1_recall.json", out_dir / "step1_recall.csv"
-            )
-            wrote += ["step1_recall.json", "step1_recall.csv"]
+    eval_records = Path(config["eval"]["out_dir"]) / "records.jsonl"
+    records = [
+        analysis.Step1Record(
+            gold=raw["gold"],
+            predicted=raw["predicted"],
+            candidates=None if raw.get("step1") is None
+            else candidate_set_from_labels(raw["step1"], space),
+        )
+        for cell in load_records(Path(a["records_path"] or eval_records)).values()
+        for raw in cell.values()
+    ]
+    if records:
+        recall = analysis.step1_recall(records, space)
+        analysis.write_recall_outputs(
+            recall, out_dir / "step1_recall.json", out_dir / "step1_recall.csv"
+        )
+        wrote += ["step1_recall.json", "step1_recall.csv"]
 
     if not wrote:
         raise ConfigError(

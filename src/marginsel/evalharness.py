@@ -16,9 +16,10 @@ import hashlib
 import io
 import json
 import logging
+import os
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -139,6 +140,9 @@ class RunConfig:
             raise ValueError("shot counts must be positive")
         if self.fallback not in (FALLBACK_KNN, FALLBACK_RANDOM):
             raise ValueError(f"unknown fallback policy {self.fallback!r}")
+        labels = [m.label() for m in self.methods]
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"a method is listed more than once: {', '.join(labels)}")
 
 
 @dataclass
@@ -179,18 +183,25 @@ def derive_seed(base_seed: int, *parts: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _train_ids(ctx: ExperimentContext) -> list[str]:
-    return [ex.id for ex in ctx.train.examples]
+def _require_store(ctx: ExperimentContext, needed_by: str) -> EmbeddingStore:
+    if ctx.store is None:
+        raise MarginSelError(f"{needed_by} needs an embedding store")
+    return ctx.store
+
+
+def _knn_demos(
+    ctx: ExperimentContext, needed_by: str, shots: int, test: Example
+) -> list[tuple[Example, str]]:
+    train_ids = [ex.id for ex in ctx.train.examples]
+    ids = knn_retrieve(_require_store(ctx, needed_by), test.id, shots, train_ids)
+    return [(ctx.train.by_id(i), "knn") for i in ids]
 
 
 def _fallback_demos(
     ctx: ExperimentContext, policy: str, shots: int, test: Example, seed: int
 ) -> list[tuple[Example, str]]:
     if policy == FALLBACK_KNN:
-        if ctx.store is None:
-            raise MarginSelError("knn fallback needs an embedding store")
-        ids = knn_retrieve(ctx.store, test.id, shots, _train_ids(ctx))
-        return [(ctx.train.by_id(i), "knn") for i in ids]
+        return _knn_demos(ctx, "knn fallback", shots, test)
     rng = random.Random(derive_seed(seed, "fallback", test.id))
     picked = rng.sample(list(ctx.train.examples), min(shots, len(ctx.train)))
     return [(ex, "random") for ex in picked]
@@ -212,10 +223,7 @@ def _choose_demos(
         picked = rng.sample(list(ctx.train.examples), min(shots, len(ctx.train)))
         return [(ex, "random") for ex in picked], None, False
     if method.name == KNN_METHOD:
-        if ctx.store is None:
-            raise MarginSelError("knn method needs an embedding store")
-        ids = knn_retrieve(ctx.store, test.id, shots, _train_ids(ctx))
-        return [(ctx.train.by_id(i), "knn") for i in ids], None, False
+        return _knn_demos(ctx, "knn method", shots, test), None, False
 
     if step1 is None:
         step1 = assign_candidates(ctx.backend, ctx.candidate_template, test.text, ctx.space)
@@ -224,7 +232,9 @@ def _choose_demos(
         shots=shots,
         seed=derive_seed(seed, "marginsel", test.id),
     )
-    knn_index = (ctx.store, test.id) if method.alpha < 1.0 else None
+    knn_index = None
+    if method.alpha < 1.0:
+        knn_index = (_require_store(ctx, "marginsel at alpha < 1"), test.id)
     try:
         demo_set = select_demos(ctx.lookup, step1, knn_index, ctx.rho, selection_cfg)
         return [(e.example, e.source) for e in demo_set], step1, False
@@ -275,7 +285,9 @@ def _cell_key(record: dict) -> tuple:
     return (record["method"], record["shot"], record["seed"])
 
 
-def _load_records(path: Path) -> dict[tuple, dict[str, dict]]:
+def load_records(path: Path) -> dict[tuple, dict[str, dict]]:
+    """A run directory's ``records.jsonl`` as {(method, shot, seed): {id:
+    record}}, in file order; empty when the file does not exist."""
     cells: dict[tuple, dict[str, dict]] = {}
     if not path.exists():
         return cells
@@ -294,7 +306,7 @@ def run_experiment(ctx: ExperimentContext, cfg: RunConfig) -> RunReport:
     once per test example per run, when a marginsel cell first needs it."""
     out_dir = Path(cfg.out_dir) if cfg.out_dir is not None else None
     records_path = out_dir / "records.jsonl" if out_dir else None
-    existing = _load_records(records_path) if records_path else {}
+    existing = load_records(records_path) if records_path else {}
     test_order = {ex.id: i for i, ex in enumerate(ctx.test.examples)}
     stale = sorted({i for recs in existing.values() for i in recs} - test_order.keys())
     if stale:
@@ -339,11 +351,7 @@ def run_experiment(ctx: ExperimentContext, cfg: RunConfig) -> RunReport:
                         # flushed as soon as a cell finishes so an
                         # interrupted run resumes without recomputation
                         with open(records_path, "a", encoding="utf-8") as fh:
-                            for record in fresh:
-                                fh.write(
-                                    json.dumps(record, ensure_ascii=False, sort_keys=True)
-                                    + "\n"
-                                )
+                            fh.write(_jsonl(fresh))
                     cell_records = list(cached.values()) + list(fresh)
                     cell_records.sort(key=lambda r: test_order[r["id"]])
                     pairs = [(r["gold"], r["predicted"]) for r in cell_records]
@@ -366,14 +374,8 @@ def _summarize(cells: list[dict], cfg: RunConfig) -> list[dict]:
     for cell in cells:
         if "macro_f1" not in cell:
             continue
-        by_group.setdefault((cell["method"], cell["shot"]), {})[cell["seed"]] = cell[
-            "macro_f1"
-        ]
-    baseline_scores = {
-        (method, shot): scores
-        for (method, shot), scores in by_group.items()
-        if method == cfg.baseline
-    }
+        group = by_group.setdefault((cell["method"], cell["shot"]), {})
+        group[cell["seed"]] = cell["macro_f1"]
     summary = []
     for (method, shot), scores in sorted(by_group.items()):
         values = [scores[s] for s in sorted(scores)]
@@ -383,7 +385,7 @@ def _summarize(cells: list[dict], cfg: RunConfig) -> list[dict]:
             "mean_macro_f1": statistics.mean(values),
             "stdev_macro_f1": statistics.stdev(values) if len(values) > 1 else 0.0,
         }
-        base = baseline_scores.get((cfg.baseline, shot))
+        base = by_group.get((cfg.baseline, shot))
         if base is not None and method != cfg.baseline and len(values) > 1:
             paired = [
                 (scores[s], base[s]) for s in sorted(scores) if s in base
@@ -399,27 +401,42 @@ def _summarize(cells: list[dict], cfg: RunConfig) -> list[dict]:
     return summary
 
 
-def _persist(report: RunReport, out_dir: Path) -> None:
-    records_sorted = sorted(
-        report.records, key=lambda r: (r["method"], r["shot"], r["seed"])
+def _jsonl(records: Sequence[dict]) -> str:
+    """Records as ``records.jsonl`` lines, the format load_records reads."""
+    return "".join(
+        json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n" for record in records
     )
-    with open(out_dir / "records.jsonl", "w", encoding="utf-8") as fh:
-        for record in records_sorted:
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
-    (out_dir / "report.json").write_text(
+
+
+def _csv(rows: Sequence[Sequence]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _replace_file(path: Path, text: str) -> None:
+    """Write text to path through a temporary file in the same directory, so
+    an interrupted write leaves the previous file whole."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+
+
+def _persist(report: RunReport, out_dir: Path) -> None:
+    records_sorted = sorted(report.records, key=_cell_key)
+    _replace_file(out_dir / "records.jsonl", _jsonl(records_sorted))
+    _replace_file(
+        out_dir / "report.json",
         json.dumps(
             {"cells": report.cells, "summary": report.summary},
             indent=2,
             sort_keys=True,
         )
         + "\n",
-        encoding="utf-8",
     )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["method", "alpha", "shot", "seed", "macro_f1"])
+    rows = [["method", "alpha", "shot", "seed", "macro_f1"]]
     for cell in report.cells:
-        writer.writerow(
+        rows.append(
             [
                 cell["method"],
                 "" if cell.get("alpha") is None else repr(cell["alpha"]),
@@ -428,45 +445,37 @@ def _persist(report: RunReport, out_dir: Path) -> None:
                 repr(cell["macro_f1"]) if "macro_f1" in cell else "error",
             ]
         )
-    (out_dir / "report.csv").write_text(buf.getvalue(), encoding="utf-8")
+    _replace_file(out_dir / "report.csv", _csv(rows))
 
 
 def alpha_sweep(
     ctx: ExperimentContext, cfg: RunConfig, alphas: Sequence[float]
 ) -> list[dict]:
-    """One marginsel run per alpha value, aggregated into a table of
-    per-alpha mean macro-F1 (over all shots and seeds)."""
+    """One run with a marginsel method per alpha value (cfg's shots, seeds
+    and fallback; its methods are replaced), aggregated into a table of
+    per-alpha mean macro-F1 over all shots and seeds.  The run directory is
+    ``<out_dir>/sweep``; the table goes to ``<out_dir>/sweep.json`` and
+    ``sweep.csv``."""
+    out_dir = Path(cfg.out_dir) if cfg.out_dir is not None else None
+    methods = [MethodSpec(MARGINSEL, alpha=alpha) for alpha in alphas]
+    run_dir = out_dir / "sweep" if out_dir else None
+    report = run_experiment(ctx, replace(cfg, methods=methods, out_dir=run_dir))
     rows = []
-    for alpha in alphas:
-        sub = RunConfig(
-            methods=[MethodSpec(MARGINSEL, alpha=alpha)],
-            shots=cfg.shots,
-            seeds=cfg.seeds,
-            fallback=cfg.fallback,
-            average=cfg.average,
-            baseline=cfg.baseline,
-            out_dir=(Path(cfg.out_dir) / f"alpha_{alpha:g}") if cfg.out_dir else None,
+    for method in methods:
+        cells = [c for c in report.cells if c["method"] == method.label()]
+        scored = [c["macro_f1"] for c in cells if "macro_f1" in c]
+        rows.append(
+            {
+                "alpha": method.alpha,
+                "cells": cells,
+                "mean_macro_f1": statistics.mean(scored) if scored else None,
+            }
         )
-        report = run_experiment(ctx, sub)
-        scored = [c for c in report.cells if "macro_f1" in c]
-        row = {
-            "alpha": alpha,
-            "cells": report.cells,
-            "mean_macro_f1": (
-                statistics.mean(c["macro_f1"] for c in scored) if scored else None
-            ),
-        }
-        rows.append(row)
-    if cfg.out_dir:
-        out_dir = Path(cfg.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "sweep.json").write_text(
-            json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    if out_dir:
+        _replace_file(
+            out_dir / "sweep.json", json.dumps(rows, indent=2, sort_keys=True) + "\n"
         )
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["alpha", "mean_macro_f1"])
-        for row in rows:
-            writer.writerow([repr(row["alpha"]), repr(row["mean_macro_f1"])])
-        (out_dir / "sweep.csv").write_text(buf.getvalue(), encoding="utf-8")
+        table = [["alpha", "mean_macro_f1"]]
+        table += [[repr(row["alpha"]), repr(row["mean_macro_f1"])] for row in rows]
+        _replace_file(out_dir / "sweep.csv", _csv(table))
     return rows

@@ -303,3 +303,77 @@ def test_unreachable_backend_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert "backend error" in capsys.readouterr().err
+
+
+def test_set_whole_section_merges_like_the_config_file(tmp_path, capsys):
+    config_path = make_workspace(tmp_path)
+    code = main(
+        ["--config", str(config_path),
+         "--set", 'backend={"type": "mock", "mock_default": "red"}', "assign"]
+    )
+    assert code == 0
+    config = cli.load_config(
+        str(config_path), ['backend={"type": "mock", "mock_default": "red"}']
+    )
+    assert config["backend"]["mock_rules"] == {
+        "sigone": ["red", "green"], "sigtwo": ["green", "blue"]
+    }
+    assert config["backend"]["max_in_flight"] == 4
+    for bad in ("backend=3", 'backend.mock_rules.x=["red"]', "dataset.path.x=1"):
+        assert main(["--config", str(config_path), "--set", bad, "assign"]) == 2, bad
+
+
+def test_eval_refuses_a_lookup_of_another_split(tmp_path, capsys):
+    config_path = make_workspace(tmp_path)
+    main(["--config", str(config_path), "assign"])
+    capsys.readouterr()
+    code = main(
+        ["--config", str(config_path), "--set", "dataset.split_seed=7",
+         "--set", 'eval.methods=[{"name": "marginsel", "alpha": 1.0}]', "eval"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "lookup.jsonl") in err and "assign" in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_duplicate_methods_exit_2(tmp_path, capsys):
+    config_path = make_workspace(tmp_path)
+    code = main(
+        ["--config", str(config_path),
+         "--set", 'eval.methods=[{"name": "random"}, {"name": "random"}]', "eval"]
+    )
+    assert code == 2
+    assert "more than once" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_sweep_reports_failed_cells(tmp_path, capsys, monkeypatch):
+    class ThreeDemoDown:
+        """Fails every final prompt that carries three demonstrations."""
+
+        def __init__(self, backend):
+            self.backend = backend
+            self.model_name = backend.model_name
+            self.temperature = backend.temperature
+
+        def complete(self, system, user):
+            if user.count("Text: '") == 3:
+                raise cli.Transport("HTTP 503: unavailable", status=503)
+            return self.backend.complete(system, user)
+
+    config_path = make_workspace(tmp_path)
+    main(["--config", str(config_path), "assign"])
+    capsys.readouterr()
+    real_backend = cli._backend
+    monkeypatch.setattr(
+        cli, "_backend", lambda config, space: ThreeDemoDown(real_backend(config, space))
+    )
+    code = main(["--config", str(config_path), "--set", "eval.shots=[1, 3]", "sweep"])
+    assert code == 3
+    out = capsys.readouterr().out
+    failed = [line for line in out.splitlines() if line.startswith("FAILED cell")]
+    assert len(failed) == 4  # 2 alphas x 2 seeds at shot 3
+    assert all("shot=3" in line and "503" in line for line in failed)
+    report = json.loads((tmp_path / "runs" / "sweep" / "report.json").read_text())
+    assert sum("error" in c for c in report["cells"]) == 4

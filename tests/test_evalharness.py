@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -437,6 +438,57 @@ def test_end_to_end_reproducibility(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_marginsel_mix_without_store_fails_only_its_cells():
+    ctx = planted_pipeline(with_store=False)
+    cfg = RunConfig(
+        methods=[MethodSpec("random"), MethodSpec("marginsel", alpha=0.5)],
+        shots=[2],
+        seeds=[1],
+        fallback="random",
+    )
+    report = run_experiment(ctx, cfg)
+    assert [c["method"] for c in report.failed_cells] == ["marginsel(alpha=0.5)"]
+    assert "embedding store" in report.failed_cells[0]["error"]
+    assert "macro_f1" in report.cells[0]
+
+
+def test_duplicate_methods_are_rejected():
+    with pytest.raises(ValueError, match="more than once"):
+        RunConfig(methods=[MethodSpec("random"), MethodSpec("random")])
+    with pytest.raises(ValueError, match="more than once"):
+        alpha_sweep(
+            planted_pipeline(),
+            RunConfig(methods=[MethodSpec("random")], shots=[2], seeds=[1]),
+            alphas=[1, 1.0],
+        )
+
+
+def test_interrupted_final_write_keeps_the_records(tmp_path, monkeypatch):
+    cfg = RunConfig(
+        methods=[MethodSpec("random")], shots=[2], seeds=[1], out_dir=tmp_path / "run"
+    )
+    run_experiment(planted_pipeline(), cfg)
+    before = {
+        name: (tmp_path / "run" / name).read_bytes()
+        for name in ("records.jsonl", "report.json", "report.csv")
+    }
+
+    class Interrupted(Exception):
+        pass
+
+    def interrupt(*args, **kwargs):
+        raise Interrupted
+
+    # every record is on disk, so the rerun's first json.dumps is the final rewrite
+    monkeypatch.setattr(json, "dumps", interrupt)
+    with pytest.raises(Interrupted):
+        run_experiment(planted_pipeline(), cfg)
+    monkeypatch.undo()
+    for name, data in before.items():
+        assert (tmp_path / "run" / name).read_bytes() == data
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(before)
+
+
 def test_cell_error_annotation(tmp_path):
     ctx = planted_pipeline(with_store=False)
     cfg = RunConfig(
@@ -497,6 +549,45 @@ def test_alpha_sweep_endpoints_match_dedicated_methods(tmp_path):
     )
     assert (tmp_path / "sweep" / "sweep.json").exists()
     assert (tmp_path / "sweep" / "sweep.csv").exists()
+
+
+class FinalCounter(Step1Counter):
+    def __init__(self, backend):
+        super().__init__(backend)
+        self.final = 0
+
+    def complete(self, system, user):
+        if "comma-separated" not in user:
+            self.final += 1
+        return super().complete(system, user)
+
+
+def test_alpha_sweep_is_one_run(tmp_path):
+    ctx = planted_pipeline()
+    ctx.backend = FinalCounter(ctx.backend)
+    alphas = [0.5, 0.9, 1.0]
+
+    def cfg(out_dir):
+        return RunConfig(
+            methods=[MethodSpec("random")],  # replaced by the sweep's methods
+            shots=[2, 3],
+            seeds=[1, 2],
+            fallback="random",
+            out_dir=out_dir,
+        )
+
+    rows = alpha_sweep(ctx, cfg(tmp_path / "out"), alphas)
+    assert [r["alpha"] for r in rows] == alphas
+    assert (ctx.backend.step1, ctx.backend.final) == (9, 3 * 2 * 2 * 9)
+    assert not (tmp_path / "out" / "records.jsonl").exists()  # eval's place
+    swept = (tmp_path / "out" / "sweep" / "records.jsonl").read_text().splitlines()
+    for alpha in alphas:
+        method = MethodSpec("marginsel", alpha=alpha)
+        solo_dir = tmp_path / f"solo-{alpha}"
+        run_experiment(planted_pipeline(), replace(cfg(solo_dir), methods=[method]))
+        solo = (solo_dir / "records.jsonl").read_text().splitlines()
+        assert len(solo) == 2 * 2 * 9
+        assert [r for r in swept if json.loads(r)["method"] == method.label()] == solo
 
 
 def test_alpha_sweep_shape_and_determinism(tmp_path):
