@@ -13,6 +13,7 @@ Exit codes: 0 ok, 2 config error, 3 backend failure, 4 empty hard selection
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import json
 import sys
@@ -251,6 +252,12 @@ def _backend(config: dict, space: LabelSpace):
     return backend
 
 
+def _closing(backend) -> contextlib.AbstractContextManager:
+    """Closes the HTTP session of a backend that _backend built, cached or not."""
+    inner = backend.backend if isinstance(backend, CachedBackend) else backend
+    return inner if isinstance(inner, HttpBackend) else contextlib.nullcontext()
+
+
 def _datasets(config: dict, space: LabelSpace) -> tuple[Dataset, Dataset]:
     d = config["dataset"]
     if d["train_path"] and d["test_path"]:
@@ -277,11 +284,18 @@ def _store(config: dict, required: bool):
     return load_embeddings(path)
 
 
-def _lookup(config: dict, space: LabelSpace):
+def _lookup(config: dict, space: LabelSpace, train: Dataset):
+    """The lookup table, refused unless it holds the train split in order."""
     path = Path(config["lookup"]["path"])
     if not path.exists():
         raise ConfigError(f"lookup table {path} not found; run 'assign' first")
-    return load_lookup(path, space)
+    lookup = load_lookup(path, space)
+    if tuple(e.example for e in lookup) != train.examples:
+        raise ConfigError(
+            f"lookup table {path} does not hold the train split's examples in "
+            "order; rerun 'assign' with this config"
+        )
+    return lookup
 
 
 # --------------------------------------------------------------------------
@@ -294,9 +308,10 @@ def cmd_assign(config: dict, args) -> int:
     candidate_template, _ = _templates(config)
     backend = _backend(config, space)
     train = _train_dataset(config, space)
-    entries = build_lookup(
-        train, backend, candidate_template, config["backend"]["max_in_flight"]
-    )
+    with _closing(backend):
+        entries = build_lookup(
+            train, backend, candidate_template, config["backend"]["max_in_flight"]
+        )
     save_lookup(entries, config["lookup"]["path"], space)
     hist = analysis.candidate_histogram(entries)
     print(f"lookup table: {len(entries)} entries -> {config['lookup']['path']}")
@@ -315,27 +330,26 @@ def _resolve_test_input(config, args, space) -> tuple[str, str, str | None]:
     if args.test_id is None:
         raise ConfigError("provide --test-id or --test-text")
     train, test = _datasets(config, space)
-    for ds in (test, train):
-        try:
-            ex = ds.by_id(args.test_id)
-            return ex.id, ex.text, ex.gold
-        except KeyError:
-            continue
-    raise ConfigError(f"test id {args.test_id!r} not found in the dataset")
+    ex = test.index.get(args.test_id) or train.index.get(args.test_id)
+    if ex is None:
+        raise ConfigError(f"test id {args.test_id!r} not found in the dataset")
+    return ex.id, ex.text, ex.gold
 
 
 def cmd_select(config: dict, args) -> int:
     space = _space(config)
     candidate_template, _ = _templates(config)
     backend = _backend(config, space)
-    lookup = _lookup(config, space)
+    train = _train_dataset(config, space)
+    lookup = _lookup(config, space, train)
     sel = config["select"]
     alpha = sel["alpha"] if args.alpha is None else args.alpha
     shots = sel["shots"] if args.shots is None else args.shots
     seed = sel["seed"] if args.seed is None else args.seed
 
     test_id, test_text, _ = _resolve_test_input(config, args, space)
-    candidates = assign_candidates(backend, candidate_template, test_text, space)
+    with _closing(backend):
+        candidates = assign_candidates(backend, candidate_template, test_text, space)
 
     knn_index = None
     if alpha < 1.0:
@@ -345,9 +359,7 @@ def cmd_select(config: dict, args) -> int:
                 f"alpha < 1 needs an embedding for {test_id!r} in embeddings.path"
             )
         knn_index = (store, test_id)
-    rho = label_frequency(
-        Dataset(space, tuple(e.example for e in lookup))
-    )
+    rho = label_frequency(train)
     result = {"test_id": test_id, "candidate_key": candidate_key(candidates)}
     try:
         demos = select_demos(
@@ -379,14 +391,6 @@ def _context(config: dict, space, methods: list[MethodSpec]) -> ExperimentContex
     candidate_template, final_template = _templates(config)
     backend = _backend(config, space)
     train, test = _datasets(config, space)
-    lookup = None
-    if marginsel:
-        lookup = _lookup(config, space)
-        if tuple(e.example for e in lookup) != train.examples:
-            raise ConfigError(
-                f"lookup table {config['lookup']['path']} does not hold the train "
-                "split's examples in order; rerun 'assign' with this config"
-            )
     return ExperimentContext(
         space=space,
         train=train,
@@ -394,7 +398,7 @@ def _context(config: dict, space, methods: list[MethodSpec]) -> ExperimentContex
         backend=backend,
         candidate_template=candidate_template,
         final_template=final_template,
-        lookup=lookup,
+        lookup=_lookup(config, space, train) if marginsel else None,
         store=_store(config, required=need_store),
         max_in_flight=config["backend"]["max_in_flight"],
     )
@@ -431,7 +435,8 @@ def cmd_eval(config: dict, args) -> int:
     space = _space(config)
     methods = _parse_methods(config["eval"]["methods"])
     ctx = _context(config, space, methods)
-    report = run_experiment(ctx, _run_config(config, methods))
+    with _closing(ctx.backend):
+        report = run_experiment(ctx, _run_config(config, methods))
     for row in report.summary:
         marker = " *" if row.get("significant_vs_baseline") else ""
         print(
@@ -456,7 +461,8 @@ def cmd_sweep(config: dict, args) -> int:
     alphas = config["sweep"]["alphas"]
     methods = [MethodSpec("marginsel", alpha=a) for a in alphas]
     ctx = _context(config, space, methods)
-    rows = alpha_sweep(ctx, _run_config(config, methods), alphas)
+    with _closing(ctx.backend):
+        rows = alpha_sweep(ctx, _run_config(config, methods), alphas)
     for row in rows:
         mean = row["mean_macro_f1"]
         shown = "error" if mean is None else f"{mean:.4f}"
@@ -474,9 +480,10 @@ def cmd_predict(config: dict, args) -> int:
     ctx = _context(config, space, [method])
     test_id, test_text, gold = _resolve_test_input(config, args, space)
     example = Example(id=test_id, text=test_text, gold=gold or space.labels[0])
-    predicted, record = predict_one(
-        ctx, method, shots, example, seed, config["eval"]["fallback"]
-    )
+    with _closing(ctx.backend):
+        predicted, record = predict_one(
+            ctx, method, shots, example, seed, config["eval"]["fallback"]
+        )
     if gold is None:
         record.pop("gold")
     print(json.dumps(record, indent=2, sort_keys=True))

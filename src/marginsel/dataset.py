@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .core import Example, LabelSpace, MarginSelError, UnknownLabel, canonical_label, round_half_up
@@ -53,14 +54,16 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.examples)
 
+    @cached_property
+    def index(self) -> dict[str, Example]:
+        """Examples by id, built on first use."""
+        return {ex.id: ex for ex in self.examples}
+
     def by_id(self, example_id: str) -> Example:
-        for ex in self.examples:
-            if ex.id == example_id:
-                return ex
-        raise KeyError(example_id)
+        return self.index[example_id]
 
     def ids(self) -> list[str]:
-        return [ex.id for ex in self.examples]
+        return list(self.index)
 
 
 @dataclass(frozen=True)

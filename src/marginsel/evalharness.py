@@ -153,7 +153,7 @@ class ExperimentContext:
     backend: Backend
     candidate_template: PromptTemplate | None = None
     final_template: PromptTemplate | None = None
-    lookup: list[LookupEntry] | None = None
+    lookup: Sequence[LookupEntry] | None = None  # a LookupTable, or wrapped per call
     store: EmbeddingStore | None = None
     max_in_flight: int = 4
     rho: LabelFrequency | None = None  # derived from train when not given
@@ -192,8 +192,7 @@ def _require_store(ctx: ExperimentContext, needed_by: str) -> EmbeddingStore:
 def _knn_demos(
     ctx: ExperimentContext, needed_by: str, shots: int, test: Example
 ) -> list[tuple[Example, str]]:
-    train_ids = [ex.id for ex in ctx.train.examples]
-    ids = knn_retrieve(_require_store(ctx, needed_by), test.id, shots, train_ids)
+    ids = knn_retrieve(_require_store(ctx, needed_by), test.id, shots, ctx.train.ids())
     return [(ctx.train.by_id(i), "knn") for i in ids]
 
 

@@ -2,13 +2,15 @@
 
 Retrieval is a full scan plus sort: the pools this pipeline deals with are a
 few thousand vectors at most, so exactness is cheap and reproducible.  Ties
-break by ascending id.
+break by ascending id.  A query is one matrix-vector product and one lexsort.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
+from itertools import filterfalse
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -38,16 +40,22 @@ class UnknownId(MarginSelError):
         super().__init__(f"no embedding stored for id {entry_id!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingStore:
+    """Vectors as one read-only float64 matrix in file order, by id and by row."""
+
     dimension: int
-    vectors: dict[str, np.ndarray]
+    matrix: np.ndarray
+    row: dict[str, int]  # id -> row
+    norms: np.ndarray
+    rank: np.ndarray  # each row's place among the sorted ids
+    vectors: dict[str, np.ndarray]  # id -> row view, not a copy
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.row)
 
     def __contains__(self, entry_id: str) -> bool:
-        return entry_id in self.vectors
+        return entry_id in self.row
 
     def get(self, entry_id: str) -> np.ndarray:
         try:
@@ -57,7 +65,8 @@ class EmbeddingStore:
 
 
 def build_store(items: Iterable[tuple[str, Sequence[float]]]) -> EmbeddingStore:
-    vectors: dict[str, np.ndarray] = {}
+    row: dict[str, int] = {}
+    buffer = array("d")
     dimension = -1
     for entry_id, raw in items:
         vec = np.asarray(raw, dtype=np.float64)
@@ -69,10 +78,17 @@ def build_store(items: Iterable[tuple[str, Sequence[float]]]) -> EmbeddingStore:
             dimension = vec.size
         elif vec.size != dimension:
             raise DimensionMismatch(entry_id)
-        if entry_id in vectors:
+        if entry_id in row:
             raise EmbeddingParseError(f"duplicate embedding id {entry_id!r}")
-        vectors[entry_id] = vec
-    return EmbeddingStore(dimension=dimension, vectors=vectors)
+        row[entry_id] = len(row)
+        buffer.frombytes(vec.tobytes())
+    matrix = np.frombuffer(buffer, dtype=np.float64).reshape(len(row), max(dimension, 0))
+    matrix.flags.writeable = False
+    rank = np.empty(len(row), dtype=np.intp)
+    rank[[row[i] for i in sorted(row)]] = np.arange(len(row))
+    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+    vectors = {entry_id: matrix[i] for entry_id, i in row.items()}
+    return EmbeddingStore(dimension, matrix, row, norms, rank, vectors)
 
 
 def load_embeddings(path: str | Path) -> EmbeddingStore:
@@ -103,20 +119,8 @@ def fetch_embeddings(
     config: BackendConfig, items: Sequence[tuple[str, str]]
 ) -> EmbeddingStore:
     """Fetch embeddings for (id, text) pairs from an HTTP embedding endpoint."""
-    backend = HttpBackend(config)
-    return build_store((entry_id, backend.embed(text)) for entry_id, text in items)
-
-
-def cosine(a: Sequence[float], b: Sequence[float]) -> float:
-    va = np.asarray(a, dtype=np.float64)
-    vb = np.asarray(b, dtype=np.float64)
-    if va.shape != vb.shape:
-        raise DimensionMismatch("<pair>")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroNorm("cosine undefined for a zero vector")
-    return float(np.dot(va, vb) / (na * nb))
+    with HttpBackend(config) as backend:
+        return build_store((entry_id, backend.embed(text)) for entry_id, text in items)
 
 
 def knn_retrieve(
@@ -128,15 +132,20 @@ def knn_retrieve(
 ) -> list[str]:
     """The k candidates most cosine-similar to the query, descending, ties by
     ascending id.  The query itself and excluded ids never appear; fewer than
-    k come back only when the pool runs out."""
+    k come back only when the pool runs out.  einsum sums every row in the
+    same order (a BLAS kernel may not), so identical vectors tie exactly."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    query = store.get(query_id)
     excluded = set(exclude_ids) | {query_id}
-    scored = []
-    for cid in candidate_ids:
-        if cid in excluded:
-            continue
-        scored.append((-cosine(store.get(cid), query), cid))
-    scored.sort()
-    return [cid for _, cid in scored[:k]]
+    ids = list(filterfalse(excluded.__contains__, candidate_ids))
+    try:
+        query = store.row[query_id]
+        rows = np.fromiter(map(store.row.__getitem__, ids), dtype=np.intp, count=len(ids))
+    except KeyError as exc:
+        raise UnknownId(exc.args[0]) from None
+    if rows.size and not (store.norms[query] and store.norms[rows].all()):
+        raise ZeroNorm("cosine undefined for a zero vector")
+    dots = np.einsum("ij,j->i", store.matrix, store.matrix[query])[rows]
+    scores = dots / (store.norms[rows] * store.norms[query])
+    order = np.lexsort((store.rank[rows], -scores))
+    return [ids[i] for i in order[:k]]

@@ -87,6 +87,15 @@ class HttpBackend:
         self.temperature = config.temperature
         self._session = requests.Session()
 
+    def close(self) -> None:
+        self._session.close()
+
+    def __enter__(self) -> "HttpBackend":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
         if self.config.api_key_env:

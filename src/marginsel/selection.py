@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .core import (
     CandidateSet,
     Example,
@@ -58,6 +60,41 @@ class EmptySelection(MarginSelError):
 class LookupEntry:
     example: Example
     candidates: CandidateSet
+
+
+class Pool(tuple):
+    """Lookup entries in lookup order; ``labels[codes[i]]`` is row i's gold
+    label.  Equal to a list or tuple of the same entries."""
+
+    def __new__(cls, entries: Sequence[LookupEntry] = ()):
+        pool = super().__new__(cls, entries)
+        pool.labels = tuple(dict.fromkeys(e.example.gold for e in pool))
+        code = {label: i for i, label in enumerate(pool.labels)}
+        pool.codes = np.array([code[e.example.gold] for e in pool], dtype=np.intp)
+        return pool
+
+    def __eq__(self, other):
+        return isinstance(other, (list, tuple)) and tuple(self) == tuple(other)
+
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple's comparison
+
+
+class LookupTable(Pool):
+    """A lookup table indexed once: ``pools`` maps each candidate set to the
+    pool of rows that carry it, and ``examples`` maps ids to examples."""
+
+    def __new__(cls, entries: Sequence[LookupEntry] = ()):
+        table = super().__new__(cls, entries)
+        groups: dict[CandidateSet, list[LookupEntry]] = {}
+        for entry in table:
+            groups.setdefault(entry.candidates, []).append(entry)
+        table.pools = {candidates: Pool(rows) for candidates, rows in groups.items()}
+        table.examples = {e.example.id: e.example for e in table}
+        return table
+
+
+def _as_table(lookup: Sequence[LookupEntry]) -> LookupTable:
+    return lookup if isinstance(lookup, LookupTable) else LookupTable(lookup)
 
 
 @dataclass(frozen=True)
@@ -127,7 +164,7 @@ def build_lookup(
     backend: Backend,
     template: PromptTemplate,
     max_in_flight: int = 4,
-) -> list[LookupEntry]:
+) -> LookupTable:
     """Run step 1 over every example of a dataset, in dataset order.
 
     Entries whose assignment failed carry the empty candidate set: they are
@@ -138,7 +175,7 @@ def build_lookup(
         candidates = assign_candidates(backend, template, example.text, train.space)
         return LookupEntry(example=example, candidates=candidates)
 
-    return map_concurrently(assign, train.examples, max_in_flight)
+    return LookupTable(map_concurrently(assign, train.examples, max_in_flight))
 
 
 def save_lookup(entries: Sequence[LookupEntry], path: str | Path, space: LabelSpace) -> None:
@@ -147,47 +184,28 @@ def save_lookup(entries: Sequence[LookupEntry], path: str | Path, space: LabelSp
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        for entry in entries:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": entry.example.id,
-                        "text": entry.example.text,
-                        "gold": entry.example.gold,
-                        "candidates": list(entry.candidates.labels_in(space)),
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+        for e in entries:
+            record = {"id": e.example.id, "text": e.example.text, "gold": e.example.gold,
+                      "candidates": list(e.candidates.labels_in(space))}
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def load_lookup(path: str | Path, space: LabelSpace) -> list[LookupEntry]:
-    entries: list[LookupEntry] = []
+def load_lookup(path: str | Path, space: LabelSpace) -> LookupTable:
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            entries.append(
-                LookupEntry(
-                    example=Example(
-                        id=record["id"], text=record["text"], gold=record["gold"]
-                    ),
-                    candidates=candidate_set_from_labels(record["candidates"], space),
-                )
-            )
-    return entries
+        records = [json.loads(line) for line in fh if line.strip()]
+    return LookupTable(
+        LookupEntry(Example(r["id"], r["text"], r["gold"]),
+                    candidate_set_from_labels(r["candidates"], space))
+        for r in records
+    )
 
 
-def match_hard(
-    lookup: Sequence[LookupEntry], test_candidates: CandidateSet
-) -> list[LookupEntry]:
+def match_hard(lookup: Sequence[LookupEntry], test_candidates: CandidateSet) -> Pool:
     """Entries whose candidate set is bit-identical to the test's, in lookup
     order.  Empty-set (parse-failure) entries never match."""
     if test_candidates.is_empty:
         raise ValueError("test candidate set must be non-empty")
-    return [e for e in lookup if e.candidates == test_candidates]
+    return _as_table(lookup).pools.get(test_candidates, Pool())
 
 
 def weighted_sample(
@@ -202,35 +220,29 @@ def weighted_sample(
     sequential draws with random.Random(seed): each draw picks index i with
     probability w_i / sum(remaining w), where w_i = 1/rho(gold_i), then
     removes it.  Concretely each draw computes r = rng.random() * total and
-    takes the first index whose cumulative weight exceeds r; this exact
-    protocol is part of the contract so that an independent replay
-    reproduces the draws bit-for-bit.
+    takes the first index whose cumulative weight (a sequential float64 sum)
+    exceeds r, else the last; this exact protocol is part of the contract
+    so that an independent replay reproduces the draws bit-for-bit.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    weights = []
-    for entry in matched:
-        try:
-            weights.append(rho.weight(entry.example.gold))
-        except KeyError:
-            raise MissingFrequency(entry.example.gold) from None
-    if len(matched) <= k:
-        return list(matched)
-    pool = list(matched)
+    pool = matched if isinstance(matched, Pool) else Pool(matched)
+    try:
+        label_weights = np.array([rho.weight(label) for label in pool.labels])
+    except KeyError as exc:
+        raise MissingFrequency(exc.args[0]) from None
+    if len(pool) <= k:
+        return list(pool)
+    weights = label_weights[pool.codes]
+    remaining = list(pool)
     rng = random.Random(seed)
     picked: list[LookupEntry] = []
     for _ in range(k):
-        total = sum(weights)
-        r = rng.random() * total
-        acc = 0.0
-        chosen = len(pool) - 1
-        for i, w in enumerate(weights):
-            acc += w
-            if r < acc:
-                chosen = i
-                break
-        picked.append(pool.pop(chosen))
-        weights.pop(chosen)
+        cumulative = weights.cumsum()
+        r = rng.random() * cumulative[-1]
+        chosen = min(int(cumulative.searchsorted(r, side="right")), len(remaining) - 1)
+        picked.append(remaining.pop(chosen))
+        weights = np.concatenate((weights[:chosen], weights[chosen + 1:]))
     return picked
 
 
@@ -252,13 +264,14 @@ def select_demos(
     test_candidates may be None (or empty) when the assignment step failed
     for the test input; the matched pool is then empty.
     """
-    if not lookup:
+    table = _as_table(lookup)
+    if not table:
         raise ValueError("lookup table is empty")
     quota = round_half_up(cfg.alpha * cfg.shots)
     if test_candidates is None or test_candidates.is_empty:
-        matched: list[LookupEntry] = []
+        matched = Pool()
     else:
-        matched = match_hard(lookup, test_candidates)
+        matched = match_hard(table, test_candidates)
     hard = weighted_sample(matched, quota, rho, cfg.seed) if quota else []
 
     if cfg.alpha == 1.0:
@@ -271,14 +284,9 @@ def select_demos(
         raise ValueError("alpha < 1 requires a (store, query_id) knn index")
     store, query_id = knn_index
     hard_ids = {e.example.id for e in hard}
-    by_id = {e.example.id: e.example for e in lookup}
     neighbor_ids = knn_retrieve(
-        store,
-        query_id,
-        cfg.shots - len(hard),
-        candidate_ids=list(by_id),
-        exclude_ids=hard_ids,
+        store, query_id, cfg.shots - len(hard), list(table.examples), hard_ids
     )
     entries = [DemoEntry(e.example, HARD) for e in hard]
-    entries += [DemoEntry(by_id[nid], KNN) for nid in neighbor_ids]
+    entries += [DemoEntry(table.examples[nid], KNN) for nid in neighbor_ids]
     return DemoSet(tuple(entries))

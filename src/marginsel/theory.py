@@ -17,6 +17,7 @@ random instances with dimensions up to 16 and row counts up to 8.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -196,6 +197,7 @@ class MarginProblem:
 
 _FEAS_TOL = 1e-9
 MAX_POINTS = 64
+MAX_ACTIVE_SETS = 200_000  # n=20, d=6 (137959 sets) solves in a few seconds
 
 
 def solve_hard_margin(points: np.ndarray, labels: np.ndarray) -> MarginProblem:
@@ -210,7 +212,7 @@ def solve_hard_margin(points: np.ndarray, labels: np.ndarray) -> MarginProblem:
     representations is reported.
 
     Raises NotSeparable when no candidate passes (or a class is missing) and
-    TooLarge beyond 64 points.
+    TooLarge beyond 64 points or 200000 candidate sets, before enumerating.
     """
     pts = np.asarray(points, dtype=np.float64)
     ys = np.asarray(labels, dtype=np.float64)
@@ -221,6 +223,9 @@ def solve_hard_margin(points: np.ndarray, labels: np.ndarray) -> MarginProblem:
     n, d = pts.shape
     if n > MAX_POINTS:
         raise TooLarge(f"{n} points exceeds the {MAX_POINTS}-point solver limit")
+    active_sets = sum(math.comb(n, size) for size in range(2, min(n, d + 1) + 1))
+    if active_sets > MAX_ACTIVE_SETS:
+        raise TooLarge(f"{active_sets} active sets exceed the {MAX_ACTIVE_SETS}-set limit")
     if len(set(ys.tolist())) < 2:
         raise NotSeparable("both classes must be present")
 

@@ -337,6 +337,22 @@ def test_eval_refuses_a_lookup_of_another_split(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+def test_select_refuses_a_lookup_of_another_split(tmp_path, capsys):
+    # Under another split a test input can sit in the stale table and pick
+    # itself as a demonstration; select refuses the table as eval does.
+    config_path = make_workspace(tmp_path)
+    main(["--config", str(config_path), "assign"])
+    capsys.readouterr()
+    select = ["select", "--alpha", "1", "--shots", "4"]
+    for i in range(24):
+        code = main(["--config", str(config_path), "--set", "dataset.split_seed=7",
+                     *select, "--test-id", f"e{i:02d}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "lookup.jsonl") in err and "assign" in err
+    assert main(["--config", str(config_path), *select, "--test-id", "e00"]) in (0, 4)
+
+
 def test_duplicate_methods_exit_2(tmp_path, capsys):
     config_path = make_workspace(tmp_path)
     code = main(

@@ -9,7 +9,6 @@ from marginsel.knn import (
     UnknownId,
     ZeroNorm,
     build_store,
-    cosine,
     fetch_embeddings,
     knn_retrieve,
     load_embeddings,
@@ -56,16 +55,70 @@ def test_load_embeddings_rejects_duplicates_and_junk(tmp_path):
         load_embeddings(junk)
 
 
-def test_cosine_basics():
-    assert cosine([1, 0], [1, 0]) == pytest.approx(1.0)
-    assert cosine([1, 0], [0, 1]) == pytest.approx(0.0)
-    assert cosine([1, 2], [2, 4]) == pytest.approx(1.0)  # scale invariance
-    assert cosine([1, 0], [-1, 0]) == pytest.approx(-1.0)
+def test_knn_ranks_by_cosine():
+    # Same direction (at twice the length), then 0.8, then orthogonal, then
+    # opposite: the ranking follows cosine and ignores length.
+    store = build_store(
+        [("q", [1, 2]), ("a", [2, 4]), ("b", [2, 1]), ("c", [-2, 1]), ("d", [-1, -2])]
+    )
+    assert knn_retrieve(store, "q", 4, ["d", "c", "b", "a"]) == ["a", "b", "c", "d"]
 
 
-def test_cosine_zero_norm():
+def test_knn_zero_norm_only_when_considered():
+    store = build_store([("q", [1, 0]), ("zero", [0, 0]), ("a", [0, 1]), ("z", [0.0, 0.0])])
     with pytest.raises(ZeroNorm):
-        cosine([0, 0], [1, 0])
+        knn_retrieve(store, "q", 1, ["a", "zero"])
+    with pytest.raises(ZeroNorm):
+        knn_retrieve(store, "z", 1, ["a"])
+    # excluded or absent zero vectors are never scored
+    assert knn_retrieve(store, "q", 1, ["a", "zero"], exclude_ids={"zero"}) == ["a"]
+    assert knn_retrieve(store, "z", 1, []) == []
+    assert knn_retrieve(store, "q", 1, ["z"], exclude_ids={"z"}) == []
+
+
+def test_knn_excluded_unknown_id_does_not_raise():
+    store = build_store([("q", [1, 0]), ("a", [1, 1])])
+    assert knn_retrieve(store, "q", 2, ["ghost", "a"], exclude_ids={"ghost"}) == ["a"]
+    with pytest.raises(UnknownId) as err:
+        knn_retrieve(store, "q", 2, ["a", "ghost"])
+    assert err.value.entry_id == "ghost"
+
+
+def test_knn_duplicate_candidate_ids_are_scored_each_time():
+    store = build_store([("q", [1, 0]), ("a", [1, 0.1]), ("b", [0, 1])])
+    assert knn_retrieve(store, "q", 3, ["b", "a", "b"]) == ["a", "b", "b"]
+
+
+@pytest.mark.parametrize("n", [2000, 2003])
+def test_knn_duplicate_vectors_tie_exactly_in_a_large_store(n):
+    # Identical 384-d vectors at rows 0, 1, 1999 and the last row, with ids in
+    # the reverse of row order: they score bit-identically wherever they sit
+    # (a BLAS kernel may sum a tail row in another order), so they come back
+    # adjacent and in ascending id order.
+    rng = random.Random(7)
+    dup = [rng.gauss(0, 1) for _ in range(384)]
+    items = [(f"p{i:04d}", [rng.gauss(0, 1) for _ in range(384)]) for i in range(n)]
+    dup_rows = sorted({0, 1, 1999, n - 1})
+    dup_ids = [f"dup-{len(dup_rows) - j}" for j in range(len(dup_rows))]
+    for row, dup_id in zip(dup_rows, dup_ids):
+        items[row] = (dup_id, dup)
+    items[1000] = ("query", [x + 0.01 for x in dup])
+    store = build_store(items)
+    ids = [i for i, _ in items]
+    expected = sorted(dup_ids)
+    assert knn_retrieve(store, "query", len(expected), ids) == expected
+    ranking = knn_retrieve(store, "p0500", len(ids), ids)
+    at = ranking.index(expected[0])
+    assert ranking[at:at + len(expected)] == expected
+    assert ranking == _brute_force(store, "p0500", len(ids), ids)
+
+
+def test_store_rows_are_views_of_one_matrix():
+    store = build_store([("a", [1.0, 2.0]), ("b", [3.0, 4.0])])
+    assert store.vectors["b"].base is not None
+    assert list(store.get("b")) == [3.0, 4.0]
+    assert store.matrix.shape == (2, 2) and not store.matrix.flags.writeable
+    assert list(store.norms) == [math.sqrt(5.0), 5.0]
 
 
 def test_knn_nearest_by_inspection():
@@ -155,15 +208,24 @@ def test_fetch_embeddings_via_endpoint(monkeypatch):
     # store-building path over the fetch helper.
     from marginsel import knn as knn_module
 
+    closed = []
+
     class FakeBackend:
         def __init__(self, config):
             pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            closed.append(True)
 
         def embed(self, text):
             return [float(len(text)), 1.0]
 
     monkeypatch.setattr(knn_module, "HttpBackend", FakeBackend)
     store = fetch_embeddings(None, [("a", "xy"), ("b", "xyzw")])
+    assert closed == [True]
     assert store.dimension == 2
     assert list(store.get("a")) == [2.0, 1.0]
     assert list(store.get("b")) == [4.0, 1.0]

@@ -1,3 +1,4 @@
+import gc
 import json
 import sys
 import threading
@@ -5,7 +6,9 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import requests
 
+from marginsel.cli import main
 from marginsel.core import LabelSpace
 from marginsel.llm_client import (
     AuthMissing,
@@ -130,6 +133,7 @@ def server():
     thread.start()
     yield f"http://127.0.0.1:{httpd.server_address[1]}", _ScriptedHandler
     httpd.shutdown()
+    httpd.server_close()
 
 
 def _config(base_url, **kw):
@@ -284,3 +288,40 @@ def test_cache_counters_lose_no_update_under_threads(tmp_path):
         sys.setswitchinterval(interval)
     assert backend.hits + backend.misses == len(prompts)
     assert backend.misses >= 20
+
+
+@pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+def test_http_sessions_are_closed(server, tmp_path, monkeypatch):
+    # Every session the backend opens is closed: by its context manager, by
+    # fetch_embeddings, and by a CLI command.  Any socket left to the garbage
+    # collector (the test server's included) warns, which fails the test.
+    from marginsel.knn import fetch_embeddings
+    from test_cli import make_workspace
+
+    sessions = []
+
+    class Session(requests.Session):
+        closed = False
+
+        def __init__(self):
+            super().__init__()
+            sessions.append(self)
+
+        def close(self):
+            self.closed = True
+            super().close()
+
+    monkeypatch.setattr(requests, "Session", Session)
+    base_url, handler = server
+    with HttpBackend(_config(base_url)) as backend:
+        assert backend.complete("s", "u")[0] == "<label>ok</label>"
+    handler.script = [(200, {"data": [{"embedding": [0.5, 1.0]}]})]
+    assert fetch_embeddings(_config(base_url), [("a", "text")]).dimension == 2
+    config_path = make_workspace(tmp_path)
+    http = ["--set", 'backend.type="http"', "--set", f'backend.base_url="{base_url}"']
+    assert main(["--config", str(config_path), *http, "assign"]) == 0
+    assert len(sessions) == 3 and all(s.closed for s in sessions)
+    del backend
+    gc.collect()

@@ -16,6 +16,8 @@ from marginsel.selection import (
     DemoSet,
     EmptySelection,
     LookupEntry,
+    LookupTable,
+    Pool,
     MissingFrequency,
     SelectionConfig,
     build_lookup,
@@ -179,6 +181,54 @@ def test_weighted_sample_deterministic_and_without_replacement():
     assert len({e.example.id for e in a}) == 5
     c = weighted_sample(matched, 5, rho, seed=100)
     assert [e.example.id for e in a] != [e.example.id for e in c]
+
+
+def test_weighted_sample_replays_the_oracle_on_a_large_pool():
+    # The oracle is the acceptance suite's scalar replay of the documented
+    # protocol; the vectorised draw must pick the same ids in the same order.
+    from test_acceptance import oracle_draw
+
+    space = LabelSpace(["l1", "l2", "l3", "l4", "l5"])
+    rng = random.Random(11)
+    golds = rng.choices(space.labels, weights=[40, 25, 17, 11, 7], k=3000)
+    rows = [entry(f"e{i:04d}", g, "11010", space) for i, g in enumerate(golds)]
+    rho = label_frequency(
+        make_dataset(space, [(e.example.id, e.example.text, e.example.gold) for e in rows])
+    )
+    pool = match_hard(LookupTable(rows), candidate_set_from_key("11010", space))
+    assert isinstance(pool, Pool) and pool == rows
+    oracle_rows = [(e.example.id, e.example.gold) for e in rows]
+    for k in (1, 4, 16):
+        for seed in range(200):
+            want = oracle_draw(oracle_rows, rho.proportions, k, seed)
+            assert [e.example.id for e in weighted_sample(pool, k, rho, seed)] == want
+            if seed % 20 == 0:  # a plain list is wrapped per call
+                got = weighted_sample(rows, k, rho, seed)
+                assert [e.example.id for e in got] == want
+
+
+def test_lookup_table_indexes_once(tmp_path):
+    rows = [entry("1", "red", "110"), entry("2", "blue", "011"), entry("3", "green", "110")]
+    save_lookup(rows, tmp_path / "lookup.jsonl", RGB)
+    table = load_lookup(tmp_path / "lookup.jsonl", RGB)
+    assert isinstance(table, LookupTable)
+    assert table == rows and not table != rows and tuple(table) == tuple(rows)
+    assert table.pools[candidate_set_from_key("110", RGB)] == [rows[0], rows[2]]
+    assert table.examples["2"] == rows[1].example
+    assert [table.labels[c] for c in table.codes] == ["red", "blue", "green"]
+    with pytest.raises(TypeError):
+        table[0] = rows[1]
+
+
+def test_select_demos_same_for_a_list_and_a_table():
+    lookup, rho = _lookup_fixture()
+    store = _store_for(lookup)
+    test_set = candidate_set_from_key("110", RGB)
+    for alpha in (0.0, 0.5, 1.0):
+        cfg = SelectionConfig(alpha, 4, seed=5)
+        from_list = select_demos(lookup, test_set, (store, "test"), rho, cfg)
+        from_table = select_demos(LookupTable(lookup), test_set, (store, "test"), rho, cfg)
+        assert from_list == from_table
 
 
 # --------------------------------------------------------------------------

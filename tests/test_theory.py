@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,22 @@ def test_not_separable_and_too_large():
         solve_hard_margin(np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))
     with pytest.raises(TooLarge):
         solve_hard_margin(np.zeros((65, 1)), np.ones(65))
+
+
+def test_active_set_count_is_bounded_before_enumerating():
+    # 64 points in 16 dimensions would mean about 10^15 candidate active sets.
+    rng = np.random.default_rng(0)
+    points = rng.normal(size=(64, 16))
+    labels = np.where(points[:, 0] > 0, 1.0, -1.0)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="active sets"):
+        solve_hard_margin(points, labels)
+    assert time.perf_counter() - start < 0.5
+    # The largest instances the theory checks draw (12 points, 3-d) still solve.
+    points = rng.uniform(-2.0, 2.0, size=(12, 3))
+    labels = np.where(points @ np.array([1.0, -0.5, 0.25]) > 0, 1.0, -1.0)
+    problem = solve_hard_margin(points, labels)
+    assert max(kkt_report(problem).values()) < 1e-8
 
 
 def test_kkt_conditions_on_random_separable_instances():
