@@ -37,7 +37,7 @@ from .evalharness import (
     predict_one,
     run_experiment,
 )
-from .knn import load_embeddings
+from .knn import load_embeddings, rank
 from .llm_client import (
     AuthMissing,
     BackendConfig,
@@ -59,8 +59,10 @@ from .prompting import (
 from .selection import (
     EmptySelection,
     SelectionConfig,
+    StaleLookup,
     assign_candidates,
     build_lookup,
+    check_lookup,
     load_lookup,
     save_lookup,
     select_demos,
@@ -290,11 +292,13 @@ def _lookup(config: dict, space: LabelSpace, train: Dataset):
     if not path.exists():
         raise ConfigError(f"lookup table {path} not found; run 'assign' first")
     lookup = load_lookup(path, space)
-    if tuple(e.example for e in lookup) != train.examples:
+    try:
+        check_lookup(lookup, train)
+    except StaleLookup:
         raise ConfigError(
             f"lookup table {path} does not hold the train split's examples in "
             "order; rerun 'assign' with this config"
-        )
+        ) from None
     return lookup
 
 
@@ -351,19 +355,19 @@ def cmd_select(config: dict, args) -> int:
     with _closing(backend):
         candidates = assign_candidates(backend, candidate_template, test_text, space)
 
-    knn_index = None
+    neighbours = None
     if alpha < 1.0:
         store = _store(config, required=True)
         if test_id not in store:
             raise ConfigError(
                 f"alpha < 1 needs an embedding for {test_id!r} in embeddings.path"
             )
-        knn_index = (store, test_id)
+        neighbours = rank(store, test_id, train.ids())
     rho = label_frequency(train)
     result = {"test_id": test_id, "candidate_key": candidate_key(candidates)}
     try:
         demos = select_demos(
-            lookup, candidates, knn_index, rho, SelectionConfig(alpha, shots, seed)
+            lookup, candidates, neighbours, rho, SelectionConfig(alpha, shots, seed)
         )
     except EmptySelection:
         result["error"] = (

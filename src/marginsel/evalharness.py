@@ -27,7 +27,7 @@ from scipy import stats as scipy_stats
 
 from .core import CandidateSet, Example, LabelSpace, MarginSelError, canonical_label
 from .dataset import Dataset, LabelFrequency, label_frequency
-from .knn import EmbeddingStore, knn_retrieve
+from .knn import EmbeddingStore, Ranking, knn_retrieve, rank
 from .llm_client import Backend, map_concurrently
 from .prompting import (
     Ambiguous,
@@ -44,6 +44,7 @@ from .selection import (
     SelectionConfig,
     assign_candidates,
     build_lookup,
+    check_lookup,
     select_demos,
 )
 
@@ -161,6 +162,8 @@ class ExperimentContext:
     def __post_init__(self):
         if self.rho is None:
             self.rho = label_frequency(self.train)
+        if self.lookup is not None:
+            check_lookup(self.lookup, self.train)
 
 
 @dataclass
@@ -183,27 +186,45 @@ def derive_seed(base_seed: int, *parts: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _require_store(ctx: ExperimentContext, needed_by: str) -> EmbeddingStore:
-    if ctx.store is None:
-        raise MarginSelError(f"{needed_by} needs an embedding store")
-    return ctx.store
+def _ranking(
+    ctx: ExperimentContext, needed_by: str, test: Example, rankings: dict[str, Ranking]
+) -> Ranking:
+    """The test input's neighbour ranking over the train split: ranked the
+    first time a run needs it, then read from the run's ``rankings``.  A
+    duplicate fill from another thread is harmless, since ranking is
+    deterministic."""
+    ranking = rankings.get(test.id)
+    if ranking is None:
+        if ctx.store is None:
+            raise MarginSelError(f"{needed_by} needs an embedding store")
+        ranking = rankings[test.id] = rank(ctx.store, test.id, ctx.train.ids(), knn_retrieve)
+    return ranking
 
 
 def _knn_demos(
-    ctx: ExperimentContext, needed_by: str, shots: int, test: Example
+    ctx: ExperimentContext, needed_by: str, shots: int, test: Example,
+    rankings: dict[str, Ranking],
 ) -> list[tuple[Example, str]]:
-    ids = knn_retrieve(_require_store(ctx, needed_by), test.id, shots, ctx.train.ids())
+    ids = _ranking(ctx, needed_by, test, rankings).take(shots)
     return [(ctx.train.by_id(i), "knn") for i in ids]
 
 
+def _random_demos(
+    ctx: ExperimentContext, tag: str, shots: int, test: Example, seed: int
+) -> list[tuple[Example, str]]:
+    """Uniform demos drawn with the seed derived from (seed, tag, test id)."""
+    rng = random.Random(derive_seed(seed, tag, test.id))
+    picked = rng.sample(ctx.train.examples, min(shots, len(ctx.train)))
+    return [(ex, "random") for ex in picked]
+
+
 def _fallback_demos(
-    ctx: ExperimentContext, policy: str, shots: int, test: Example, seed: int
+    ctx: ExperimentContext, policy: str, shots: int, test: Example, seed: int,
+    rankings: dict[str, Ranking],
 ) -> list[tuple[Example, str]]:
     if policy == FALLBACK_KNN:
-        return _knn_demos(ctx, "knn fallback", shots, test)
-    rng = random.Random(derive_seed(seed, "fallback", test.id))
-    picked = rng.sample(list(ctx.train.examples), min(shots, len(ctx.train)))
-    return [(ex, "random") for ex in picked]
+        return _knn_demos(ctx, "knn fallback", shots, test, rankings)
+    return _random_demos(ctx, "fallback", shots, test, seed)
 
 
 def _choose_demos(
@@ -214,15 +235,14 @@ def _choose_demos(
     seed: int,
     fallback_policy: str,
     step1: CandidateSet | None,
+    rankings: dict[str, Ranking],
 ) -> tuple[list[tuple[Example, str]], CandidateSet | None, bool]:
     """Demos as (example, source) pairs, the test's assignment-step candidate
     set (marginsel only; assigned here unless given), and whether the fallback fired."""
     if method.name == RANDOM:
-        rng = random.Random(derive_seed(seed, "random", test.id))
-        picked = rng.sample(list(ctx.train.examples), min(shots, len(ctx.train)))
-        return [(ex, "random") for ex in picked], None, False
+        return _random_demos(ctx, "random", shots, test, seed), None, False
     if method.name == KNN_METHOD:
-        return _knn_demos(ctx, "knn method", shots, test), None, False
+        return _knn_demos(ctx, "knn method", shots, test, rankings), None, False
 
     if step1 is None:
         step1 = assign_candidates(ctx.backend, ctx.candidate_template, test.text, ctx.space)
@@ -231,14 +251,14 @@ def _choose_demos(
         shots=shots,
         seed=derive_seed(seed, "marginsel", test.id),
     )
-    knn_index = None
+    neighbours = None
     if method.alpha < 1.0:
-        knn_index = (_require_store(ctx, "marginsel at alpha < 1"), test.id)
+        neighbours = _ranking(ctx, "marginsel at alpha < 1", test, rankings)
     try:
-        demo_set = select_demos(ctx.lookup, step1, knn_index, ctx.rho, selection_cfg)
+        demo_set = select_demos(ctx.lookup, step1, neighbours, ctx.rho, selection_cfg)
         return [(e.example, e.source) for e in demo_set], step1, False
     except EmptySelection:
-        return _fallback_demos(ctx, fallback_policy, shots, test, seed), step1, True
+        return _fallback_demos(ctx, fallback_policy, shots, test, seed, rankings), step1, True
 
 
 def predict_one(
@@ -249,13 +269,17 @@ def predict_one(
     seed: int,
     fallback_policy: str = FALLBACK_KNN,
     step1: CandidateSet | None = None,
+    rankings: dict[str, Ranking] | None = None,
 ) -> tuple[str, dict]:
     """Predict one test example: select demos per method, render the final
     prompt, parse the single-label reply; a malformed reply predicts the
     INVALID token.  step1 is the test's assignment-step candidate set when
-    the caller already has it (marginsel only)."""
+    the caller already has it (marginsel only); rankings is the run's table
+    of neighbour rankings by test id, which kNN fills and reads (without it,
+    the test input is ranked on the spot)."""
     demos, step1, fell_back = _choose_demos(
-        ctx, method, shots, test, seed, fallback_policy, step1
+        ctx, method, shots, test, seed, fallback_policy, step1,
+        {} if rankings is None else rankings,
     )
     pairs = [(ex.text, ex.gold) for ex, _ in demos]
     system, user = render_final_prompt(ctx.final_template, pairs, test.text, ctx.space)
@@ -302,7 +326,8 @@ def load_records(path: Path) -> dict[tuple, dict[str, dict]]:
 def run_experiment(ctx: ExperimentContext, cfg: RunConfig) -> RunReport:
     """Execute the full grid.  Already-recorded cells are skipped; per-cell
     failures are annotated rather than aborting the run.  Step 1 runs at most
-    once per test example per run, when a marginsel cell first needs it."""
+    once per test example per run, when a marginsel cell first needs it, and
+    so does the test example's neighbour ranking, when kNN first needs it."""
     out_dir = Path(cfg.out_dir) if cfg.out_dir is not None else None
     records_path = out_dir / "records.jsonl" if out_dir else None
     existing = load_records(records_path) if records_path else {}
@@ -317,6 +342,7 @@ def run_experiment(ctx: ExperimentContext, cfg: RunConfig) -> RunReport:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     step1: dict[str, CandidateSet] = {}  # test id -> step-1 candidate set
+    rankings: dict[str, Ranking] = {}  # test id -> neighbour ranking over train
     all_records: list[dict] = []
     cells: list[dict] = []
     for method in cfg.methods:
@@ -341,7 +367,8 @@ def run_experiment(ctx: ExperimentContext, cfg: RunConfig) -> RunReport:
                         step1.update((e.example.id, e.candidates) for e in assigned)
                     fresh = map_concurrently(
                         lambda ex: predict_one(
-                            ctx, method, shot, ex, seed, cfg.fallback, step1.get(ex.id)
+                            ctx, method, shot, ex, seed, cfg.fallback, step1.get(ex.id),
+                            rankings,
                         )[1],
                         pending,
                         ctx.max_in_flight,

@@ -3,6 +3,8 @@
 Retrieval is a full scan plus sort: the pools this pipeline deals with are a
 few thousand vectors at most, so exactness is cheap and reproducible.  Ties
 break by ascending id.  A query is one matrix-vector product and one lexsort.
+A ``Ranking`` keeps one query's full order so that later queries with other
+exclusions are a walk along it.
 """
 
 from __future__ import annotations
@@ -10,9 +12,9 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass
-from itertools import filterfalse
+from itertools import compress, filterfalse, islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -149,3 +151,51 @@ def knn_retrieve(
     scores = dots / (store.norms[rows] * store.norms[query])
     order = np.lexsort((store.rank[rows], -scores))
     return [ids[i] for i in order[:k]]
+
+
+@dataclass(frozen=True)
+class Ranking:
+    """One query's cosine ranking over a candidate list.  ``take(k, exclude)``
+    equals ``knn_retrieve(store, query_id, k, candidate_ids, exclude)``: the
+    order is total (score, then id), so ranking what remains after the
+    exclusions is filtering the full ranking.  Candidates that knn_retrieve
+    would refuse are set aside and raise only when a take considers them."""
+
+    ranked: tuple[str, ...]  # scoreable candidates other than the query, best first
+    zero: tuple[str, ...]  # zero-norm candidates; every known one when the query is zero
+    unknown: tuple[str, ...]  # candidates with no stored vector, in candidate order
+
+    def take(self, k: int, exclude_ids: Iterable[str] = ()) -> list[str]:
+        """The first k ranked ids that are not excluded."""
+        if k < 0:
+            raise ValueError("k must be >= 0")
+        excluded = set(exclude_ids)
+        unknown = next(filterfalse(excluded.__contains__, self.unknown), None)
+        if unknown is not None:
+            raise UnknownId(unknown)
+        if not excluded.issuperset(self.zero):
+            raise ZeroNorm("cosine undefined for a zero vector")
+        return list(islice(filterfalse(excluded.__contains__, self.ranked), k))
+
+
+def rank(
+    store: EmbeddingStore,
+    query_id: str,
+    candidate_ids: Sequence[str],
+    retrieve: Callable[..., list[str]] = knn_retrieve,
+) -> Ranking:
+    """The query's Ranking over candidate_ids, scored by one ``retrieve``
+    call (knn_retrieve; a caller passes its own binding of it so that a
+    wrapper there sees each ranking).  Raises UnknownId for an unknown query."""
+    if query_id not in store.row:
+        raise UnknownId(query_id)
+    unknown = tuple(i for i in candidate_ids if i not in store.row)
+    known = [i for i in candidate_ids if i in store.row and i != query_id]
+    rows = np.fromiter(map(store.row.__getitem__, known), dtype=np.intp, count=len(known))
+    if store.norms[store.row[query_id]]:
+        scoreable = store.norms[rows] != 0
+    else:  # a zero query scores nothing, so every candidate it considers raises
+        scoreable = np.zeros(len(known), dtype=bool)
+    scored = list(compress(known, scoreable))
+    ranked = retrieve(store, query_id, len(scored), scored)
+    return Ranking(tuple(ranked), tuple(compress(known, ~scoreable)), unknown)

@@ -3,8 +3,9 @@ endpoints and a deterministic keyword mock for tests and dry runs.
 
 Backends expose ``complete(system, user) -> (reply, attempts)``.  The HTTP
 backend posts the standard chat-completion JSON body to
-``{base_url}/chat/completions`` and retries transport failures and 5xx
-responses with exponential backoff; 4xx responses are never retried.
+``{base_url}/chat/completions`` and retries transport failures, 429 and
+5xx responses with exponential backoff, or after the reply's numeric
+Retry-After (capped by the timeout); other 4xx responses are never retried.
 Responses can be cached on disk keyed by hash(model, system, user,
 temperature), so a rerun of an already-completed stage makes zero backend
 calls.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -74,7 +76,17 @@ class Backend(Protocol):
     def complete(self, system: str, user: str) -> tuple[str, int]: ...
 
 
-_RETRYABLE_STATUS = range(500, 600)
+_RETRYABLE_STATUS = frozenset([429, *range(500, 600)])
+
+
+def _retry_after(resp: requests.Response, cap: float) -> float | None:
+    """A numeric ``Retry-After`` header in seconds, clamped to [0, cap];
+    None when the header is absent or not a number."""
+    try:
+        seconds = float(resp.headers.get("Retry-After", ""))
+    except ValueError:
+        return None
+    return None if math.isnan(seconds) else min(max(seconds, 0.0), cap)
 
 
 class HttpBackend:
@@ -112,10 +124,13 @@ class HttpBackend:
         attempts = 0
         last_timeout = False
         last_error = "no attempt made"
+        retry_after = None  # the last reply's Retry-After, which replaces the backoff
         while attempts <= cfg.max_retries:
             if attempts:
-                time.sleep(cfg.backoff_base * 2 ** (attempts - 1))
+                backoff = cfg.backoff_base * 2 ** (attempts - 1)
+                time.sleep(backoff if retry_after is None else retry_after)
             attempts += 1
+            retry_after = None
             try:
                 resp = self._session.post(
                     url, json=payload, headers=headers, timeout=cfg.timeout
@@ -130,7 +145,8 @@ class HttpBackend:
                 continue
             if resp.status_code in _RETRYABLE_STATUS:
                 last_timeout = False
-                last_error = f"server error {resp.status_code}"
+                last_error = f"HTTP {resp.status_code}"
+                retry_after = _retry_after(resp, cfg.timeout)
                 continue
             if resp.status_code >= 400:
                 raise Transport(

@@ -30,7 +30,7 @@ from .core import (
     round_half_up,
 )
 from .dataset import Dataset, LabelFrequency
-from .knn import EmbeddingStore, knn_retrieve
+from .knn import EmbeddingStore, Ranking, knn_retrieve, rank
 from .llm_client import Backend, map_concurrently
 from .prompting import (
     EmptySet,
@@ -90,11 +90,29 @@ class LookupTable(Pool):
             groups.setdefault(entry.candidates, []).append(entry)
         table.pools = {candidates: Pool(rows) for candidates, rows in groups.items()}
         table.examples = {e.example.id: e.example for e in table}
+        table.split = None  # the train examples check_lookup last accepted
         return table
 
 
 def _as_table(lookup: Sequence[LookupEntry]) -> LookupTable:
     return lookup if isinstance(lookup, LookupTable) else LookupTable(lookup)
+
+
+class StaleLookup(MarginSelError):
+    """The lookup table does not hold the train split's examples in order."""
+
+
+def check_lookup(lookup: Sequence[LookupEntry], train: Dataset) -> None:
+    """Refuse a lookup table built from another split: a test input could
+    pick itself as a demonstration, and kNN, which ranks the train split,
+    could pick an id the table does not hold.  A table remembers the split
+    it last passed with, so checking it again against that split is free."""
+    table = _as_table(lookup)
+    if table.split is train.examples:
+        return
+    if tuple(e.example for e in table) != train.examples:
+        raise StaleLookup("the lookup table does not hold the train split's examples in order")
+    table.split = train.examples
 
 
 @dataclass(frozen=True)
@@ -233,33 +251,39 @@ def weighted_sample(
         raise MissingFrequency(exc.args[0]) from None
     if len(pool) <= k:
         return list(pool)
+    # A picked weight is zeroed in place: adding 0.0 leaves every cumulative
+    # sum bit-identical to the sum over the remaining entries, and
+    # searchsorted(side="right") never lands on a zeroed slot.
     weights = label_weights[pool.codes]
-    remaining = list(pool)
     rng = random.Random(seed)
     picked: list[LookupEntry] = []
     for _ in range(k):
         cumulative = weights.cumsum()
         r = rng.random() * cumulative[-1]
-        chosen = min(int(cumulative.searchsorted(r, side="right")), len(remaining) - 1)
-        picked.append(remaining.pop(chosen))
-        weights = np.concatenate((weights[:chosen], weights[chosen + 1:]))
+        chosen = int(cumulative.searchsorted(r, side="right"))
+        if chosen == len(pool):  # r reached the total: the last remaining entry
+            chosen = int(weights.nonzero()[0][-1])
+        picked.append(pool[chosen])
+        weights[chosen] = 0.0
     return picked
 
 
 def select_demos(
     lookup: Sequence[LookupEntry],
     test_candidates: CandidateSet | None,
-    knn_index: tuple[EmbeddingStore, str] | None,
+    neighbours: Ranking | tuple[EmbeddingStore, str] | None,
     rho: LabelFrequency,
     cfg: SelectionConfig,
 ) -> DemoSet:
     """Compose the demonstration set for one test input.
 
     Hard quota h = round_half_up(alpha * n).  When alpha < 1, kNN fills every
-    remaining slot (including any hard shortfall) from the training pool,
-    excluding already-picked ids, so the set reaches n whenever the pool
-    allows.  When alpha = 1 the set is the matched pool capped at h, and an
-    empty pool raises EmptySelection for the caller's fallback policy.
+    remaining slot (including any hard shortfall) with the first ids of the
+    test input's neighbour ranking over the lookup's ids that are not
+    already picked, so the set reaches n whenever the pool allows.  A
+    (store, query_id) pair is ranked here.  When alpha = 1 the set is the
+    matched pool capped at h, and an empty pool raises EmptySelection for
+    the caller's fallback policy.
 
     test_candidates may be None (or empty) when the assignment step failed
     for the test input; the matched pool is then empty.
@@ -280,13 +304,13 @@ def select_demos(
         entries = [DemoEntry(e.example, HARD) for e in hard]
         return DemoSet(tuple(entries))
 
-    if knn_index is None:
-        raise ValueError("alpha < 1 requires a (store, query_id) knn index")
-    store, query_id = knn_index
+    if neighbours is None:
+        raise ValueError("alpha < 1 requires the test input's neighbour ranking")
+    if isinstance(neighbours, tuple):
+        store, query_id = neighbours
+        neighbours = rank(store, query_id, list(table.examples), knn_retrieve)
     hard_ids = {e.example.id for e in hard}
-    neighbor_ids = knn_retrieve(
-        store, query_id, cfg.shots - len(hard), list(table.examples), hard_ids
-    )
+    neighbor_ids = neighbours.take(cfg.shots - len(hard), hard_ids)
     entries = [DemoEntry(e.example, HARD) for e in hard]
     entries += [DemoEntry(table.examples[nid], KNN) for nid in neighbor_ids]
     return DemoSet(tuple(entries))

@@ -346,6 +346,66 @@ def test_step1_runs_once_per_test_input():
     assert ctx.backend.step1 == 9
 
 
+def test_each_test_input_is_ranked_once_per_run(monkeypatch):
+    # The knn method, marginsel at alpha 0.5 and the knn fallback at alpha 1
+    # read one neighbour ranking per test input, over every shot and seed;
+    # the table belongs to the run, so a second run ranks again.
+    from marginsel import evalharness, selection
+
+    ranked = Counter()
+
+    def counting(retrieve):
+        def counted(store, query_id, *args):
+            ranked[query_id] += 1
+            return retrieve(store, query_id, *args)
+
+        return counted
+
+    for module in (evalharness, selection):
+        monkeypatch.setattr(module, "knn_retrieve", counting(module.knn_retrieve))
+
+    class NoStep1ForGamma:  # gamma test inputs get an empty step-1 set
+        def __init__(self, backend):
+            self.backend = backend
+            self.model_name = backend.model_name
+            self.temperature = backend.temperature
+
+        def complete(self, system, user):
+            if "comma-separated" in user and "gammasig" in user:
+                return "no labels here", 1
+            return self.backend.complete(system, user)
+
+    ctx = planted_pipeline(with_store=True)
+    ctx.backend = NoStep1ForGamma(ctx.backend)
+    cfg = RunConfig(
+        methods=[MethodSpec("knn"), MethodSpec("marginsel", alpha=0.5),
+                 MethodSpec("marginsel", alpha=1.0)],
+        shots=[2, 3],
+        seeds=[1, 2],
+        fallback="knn",
+    )
+    report = run_experiment(ctx, cfg)
+    assert not report.failed_cells
+    assert sum(r["fallback"] for r in report.records) == 3 * 2 * 2
+    assert ranked == Counter(ex.id for ex in ctx.test.examples)
+    run_experiment(ctx, cfg)
+    assert ranked == Counter(2 * [ex.id for ex in ctx.test.examples])
+
+
+def test_context_refuses_a_lookup_of_another_split():
+    # The lookup is the kNN candidate list as well as the hard pool, so a
+    # context whose lookup does not hold the train split in order is refused.
+    from marginsel.selection import StaleLookup
+
+    ctx = planted_pipeline()
+    smaller = planted_pipeline(n_train_per_sig=7)
+    with pytest.raises(StaleLookup):
+        replace(ctx, lookup=smaller.lookup)
+    with pytest.raises(StaleLookup):
+        replace(ctx, lookup=list(reversed(ctx.lookup)))
+    assert replace(ctx, test=smaller.test).lookup is ctx.lookup
+
+
 def test_step1_backend_error_fails_only_marginsel_cells():
     class Step1Down:
         model_name = "step1-down"

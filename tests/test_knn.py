@@ -1,17 +1,20 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from marginsel.knn import (
     DimensionMismatch,
     EmbeddingParseError,
+    Ranking,
     UnknownId,
     ZeroNorm,
     build_store,
     fetch_embeddings,
     knn_retrieve,
     load_embeddings,
+    rank,
 )
 
 from conftest import write_jsonl
@@ -191,6 +194,51 @@ def test_knn_matches_brute_force_on_random_instances():
         assert not (set(got) & exclude)
         avail = len([i for i in ids if i not in exclude and i != query_id])
         assert len(got) == min(k, avail)
+
+
+def _outcome(fn):
+    """fn's result, or the type and the id of the refusal it raised."""
+    try:
+        return fn()
+    except (UnknownId, ZeroNorm) as exc:
+        return type(exc).__name__, getattr(exc, "entry_id", None)
+
+
+def test_ranking_take_matches_knn_retrieve():
+    # One ranking answers every (k, exclusions) query as knn_retrieve would:
+    # the same ids, or the same refusal with the same id.  Each store has one
+    # zero-norm row (sometimes the query), half the candidate lists hold an
+    # unknown id, and coordinates from a small set force cosine ties.
+    rng = random.Random(606)
+    kinds = Counter()
+    for trial in range(100):
+        n = rng.randint(2, 30)
+        dim = rng.randint(1, 5)
+        items = [(f"p{i:02d}", [rng.choice([-1.0, -0.5, 0.5, 1.0]) for _ in range(dim)])
+                 for i in range(n)]
+        zero = rng.randrange(n)
+        items[zero] = (items[zero][0], [0.0] * dim)
+        store = build_store(items)
+        ids = [i for i, _ in items]
+        candidates = rng.sample(ids, rng.randint(1, n))
+        if trial % 2:
+            candidates.insert(rng.randint(0, len(candidates)), "ghost")
+        query = "nobody" if trial % 25 == 0 else rng.choice(ids)
+        ranking = _outcome(lambda: rank(store, query, candidates))
+        for _ in range(3):
+            k = rng.randint(0, n)
+            exclude = set(rng.sample(candidates, rng.randint(0, len(candidates) // 2)))
+            if rng.random() < 0.5:
+                exclude |= {ids[zero], "ghost"} if rng.random() < 0.5 else {ids[zero]}
+            want = _outcome(lambda: knn_retrieve(store, query, k, candidates, exclude))
+            if isinstance(ranking, Ranking):
+                got = _outcome(lambda: ranking.take(k, exclude))
+            else:
+                got = ranking
+            assert got == want, (trial, query, k, sorted(exclude))
+            kinds[want[0] if isinstance(want, tuple) else "ids"] += 1
+    assert sum(kinds.values()) >= 200
+    assert min(kinds[kind] for kind in ("ids", "UnknownId", "ZeroNorm")) >= 20, kinds
 
 
 def test_knn_determinism():

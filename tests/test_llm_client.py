@@ -104,7 +104,7 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         )
         if type(self).delay:
             time.sleep(type(self).delay)
-        status, payload = (
+        status, payload, *headers = (
             type(self).script.pop(0)
             if type(self).script
             else (200, {"choices": [{"message": {"content": "<label>ok</label>"}}]})
@@ -112,6 +112,8 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         encoded = json.dumps(payload).encode()
         try:
             self.send_response(status)
+            for name, value in (headers[0] if headers else {}).items():
+                self.send_header(name, value)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(encoded)))
             self.end_headers()
@@ -175,6 +177,40 @@ def test_http_retries_5xx_then_succeeds(server):
     reply, attempts = backend.complete("s", "u")
     assert reply == "recovered"
     assert attempts == 3
+
+
+def test_http_retries_429_then_succeeds(server):
+    base_url, handler = server
+    handler.script = [
+        (429, {"error": "slow down"}),
+        (200, {"choices": [{"message": {"content": "recovered"}}]}),
+    ]
+    backend = HttpBackend(_config(base_url))
+    reply, attempts = backend.complete("s", "u")
+    assert reply == "recovered"
+    assert attempts == 2
+
+
+def test_http_retry_after_replaces_the_backoff(server, monkeypatch):
+    # A numeric Retry-After sets the sleep, capped by the timeout (5 s); a
+    # date or a missing header leaves the exponential backoff.
+    import marginsel.llm_client as llm_client
+
+    slept = []
+    monkeypatch.setattr(llm_client.time, "sleep", slept.append)
+    base_url, handler = server
+    handler.script = [
+        (429, {}, {"Retry-After": "2"}),
+        (503, {}, {"Retry-After": "120"}),
+        (429, {}, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+        (500, {}),
+        (200, {"choices": [{"message": {"content": "recovered"}}]}),
+    ]
+    backend = HttpBackend(_config(base_url, backoff_base=0.25, max_retries=4))
+    reply, attempts = backend.complete("s", "u")
+    assert reply == "recovered"
+    assert attempts == 5
+    assert slept == [2.0, 5.0, 1.0, 2.0]
 
 
 def test_http_never_retries_4xx(server):

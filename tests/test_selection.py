@@ -10,7 +10,8 @@ from marginsel.core import (
     candidate_set_from_labels,
 )
 from marginsel.dataset import LabelFrequency, label_frequency
-from marginsel.knn import build_store, knn_retrieve
+from marginsel import selection as selection_module
+from marginsel.knn import ZeroNorm, build_store, knn_retrieve, rank
 from marginsel.llm_client import CachedBackend, MockBackend, MockRule, mock_multilabel
 from marginsel.selection import (
     DemoSet,
@@ -207,6 +208,30 @@ def test_weighted_sample_replays_the_oracle_on_a_large_pool():
                 assert [e.example.id for e in got] == want
 
 
+def test_weighted_sample_cap_takes_the_last_remaining_entry(monkeypatch):
+    # r = rng.random() * total can round up to the total itself; the draw
+    # then takes the last entry still in the pool, as the documented protocol
+    # does, and never one already picked.
+    from test_acceptance import oracle_draw
+
+    class TopOfRange:
+        def __init__(self, seed):
+            pass
+
+        def random(self):
+            return 1.0  # r equals the total on every draw
+
+    monkeypatch.setattr(selection_module.random, "Random", TopOfRange)
+    rows = [entry("a", "red", "110"), entry("b", "green", "110"),
+            entry("c", "red", "110"), entry("d", "blue", "110")]
+    rho = label_frequency(
+        make_dataset(RGB, [(e.example.id, e.example.text, e.example.gold) for e in rows])
+    )
+    got = [e.example.id for e in weighted_sample(rows, 3, rho, seed=0)]
+    want = oracle_draw([(e.example.id, e.example.gold) for e in rows], rho.proportions, 3, 0)
+    assert got == want == ["d", "c", "b"]
+
+
 def test_lookup_table_indexes_once(tmp_path):
     rows = [entry("1", "red", "110"), entry("2", "blue", "011"), entry("3", "green", "110")]
     save_lookup(rows, tmp_path / "lookup.jsonl", RGB)
@@ -326,6 +351,27 @@ def test_empty_step1_with_mixed_alpha_degrades_to_knn():
     )
     assert all(e.source == "knn" for e in demos)
     assert len(demos) == 4
+
+
+def test_zero_norm_hard_pick_is_never_scored():
+    # Id 3 has a zero vector.  Picked as a hard demo it is excluded from the
+    # kNN fill, so it is never scored and never raises; a ranking that must
+    # consider it does raise.
+    lookup, rho = _lookup_fixture()
+    store = build_store(
+        [("test", [1.0, 0.0]), ("1", [0.9, 0.4]), ("2", [0.2, 1.0]), ("3", [0.0, 0.0]),
+         ("4", [1.0, 0.1]), ("5", [-1.0, 0.3]), ("6", [0.5, 0.5])]
+    )
+    ids = [e.example.id for e in lookup]
+    test_set = candidate_set_from_key("011", RGB)  # matches ids 3 and 6
+    cfg = SelectionConfig(0.5, 4, seed=0)
+    ranking = rank(store, "test", ids)
+    for neighbours in (ranking, (store, "test")):
+        demos = select_demos(lookup, test_set, neighbours, rho, cfg)
+        assert demos.ids() == ["3", "6"] + knn_retrieve(store, "test", 2, ids, {"3", "6"})
+        assert [e.source for e in demos] == ["hard", "hard", "knn", "knn"]
+    with pytest.raises(ZeroNorm):
+        ranking.take(2)
 
 
 def test_select_demos_deterministic():
