@@ -11,7 +11,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import CandidateSet, LabelSpace, MarginSelError
+from .core import CandidateSet, LabelSpace, MarginSelError, replace_file
 from .selection import LookupEntry
 
 
@@ -167,49 +167,5 @@ def dump_projection_input(
                 ensure_ascii=False,
             )
         )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    replace_file(path, "\n".join(lines) + "\n")
 
-
-def write_centroid_outputs(cm: CentroidMatrix, json_path: str | Path, csv_path: str | Path) -> None:
-    Path(json_path).write_text(
-        json.dumps(
-            {
-                "metric": cm.metric,
-                "labels": list(cm.labels),
-                "matrix": [[float(x) for x in row] for row in cm.matrix],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
-    rows = ["label," + ",".join(cm.labels)]
-    for label, row in zip(cm.labels, cm.matrix):
-        rows.append(label + "," + ",".join(repr(float(x)) for x in row))
-    Path(csv_path).write_text("\n".join(rows) + "\n", encoding="utf-8")
-
-
-def write_histogram_outputs(
-    hist: dict[int, float], json_path: str | Path, csv_path: str | Path
-) -> None:
-    Path(json_path).write_text(
-        json.dumps({str(k): v for k, v in hist.items()}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    rows = ["candidate_count,frequency"]
-    rows += [f"{k},{v!r}" for k, v in sorted(hist.items())]
-    Path(csv_path).write_text("\n".join(rows) + "\n", encoding="utf-8")
-
-
-def write_recall_outputs(
-    recall: dict[str, dict[str, float]], json_path: str | Path, csv_path: str | Path
-) -> None:
-    Path(json_path).write_text(
-        json.dumps(recall, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    rows = ["label,stratum,recall"]
-    for label in sorted(recall):
-        for stratum in sorted(recall[label]):
-            rows.append(f"{label},{stratum},{recall[label][stratum]!r}")
-    Path(csv_path).write_text("\n".join(rows) + "\n", encoding="utf-8")

@@ -26,18 +26,21 @@ from .core import (
     MarginSelError,
     candidate_key,
     candidate_set_from_labels,
+    write_csv,
+    write_json,
 )
-from .dataset import Dataset, label_frequency, load_dataset, stratified_split
+from .dataset import Dataset, load_dataset, stratified_split
 from .evalharness import (
     ExperimentContext,
     MethodSpec,
     RunConfig,
     alpha_sweep,
     load_records,
+    marginsel_demos,
     predict_one,
     run_experiment,
 )
-from .knn import load_embeddings, rank
+from .knn import load_embeddings
 from .llm_client import (
     AuthMissing,
     BackendConfig,
@@ -58,14 +61,12 @@ from .prompting import (
 )
 from .selection import (
     EmptySelection,
-    SelectionConfig,
     StaleLookup,
     assign_candidates,
     build_lookup,
     check_lookup,
     load_lookup,
     save_lookup,
-    select_demos,
 )
 
 
@@ -277,12 +278,10 @@ def _train_dataset(config: dict, space: LabelSpace) -> Dataset:
     return _datasets(config, space)[0]
 
 
-def _store(config: dict, required: bool):
+def _store(config: dict):
     path = config["embeddings"]["path"]
     if not path:
-        if required:
-            raise ConfigError("this command needs embeddings.path")
-        return None
+        raise ConfigError("this command needs embeddings.path")
     return load_embeddings(path)
 
 
@@ -327,48 +326,37 @@ def cmd_assign(config: dict, args) -> int:
     return 0
 
 
-def _resolve_test_input(config, args, space) -> tuple[str, str, str | None]:
-    """(id, text, gold) for the requested test input; gold None for ad-hoc text."""
+def _selection_args(config: dict, args) -> tuple[float, int, int]:
+    """--alpha, --shots and --seed, each defaulting to its select.* key."""
+    return tuple(config["select"][key] if getattr(args, key) is None else getattr(args, key)
+                 for key in ("alpha", "shots", "seed"))
+
+
+def _test_input(args, test: Dataset) -> tuple[Example, bool]:
+    """The requested test input, and whether it is ad-hoc text (id "adhoc",
+    gold a placeholder).  Ids are looked up in the test split only: a train
+    id would find its own row in the lookup table and pick itself."""
     if args.test_text is not None:
-        return "adhoc", args.test_text, None
+        return Example("adhoc", args.test_text, test.space.labels[0]), True
     if args.test_id is None:
         raise ConfigError("provide --test-id or --test-text")
-    train, test = _datasets(config, space)
-    ex = test.index.get(args.test_id) or train.index.get(args.test_id)
-    if ex is None:
-        raise ConfigError(f"test id {args.test_id!r} not found in the dataset")
-    return ex.id, ex.text, ex.gold
+    example = test.index.get(args.test_id)
+    if example is None:
+        raise ConfigError(f"test id {args.test_id!r} is not in the test split")
+    return example, False
 
 
 def cmd_select(config: dict, args) -> int:
     space = _space(config)
-    candidate_template, _ = _templates(config)
-    backend = _backend(config, space)
-    train = _train_dataset(config, space)
-    lookup = _lookup(config, space, train)
-    sel = config["select"]
-    alpha = sel["alpha"] if args.alpha is None else args.alpha
-    shots = sel["shots"] if args.shots is None else args.shots
-    seed = sel["seed"] if args.seed is None else args.seed
-
-    test_id, test_text, _ = _resolve_test_input(config, args, space)
-    with _closing(backend):
-        candidates = assign_candidates(backend, candidate_template, test_text, space)
-
-    neighbours = None
-    if alpha < 1.0:
-        store = _store(config, required=True)
-        if test_id not in store:
-            raise ConfigError(
-                f"alpha < 1 needs an embedding for {test_id!r} in embeddings.path"
-            )
-        neighbours = rank(store, test_id, train.ids())
-    rho = label_frequency(train)
-    result = {"test_id": test_id, "candidate_key": candidate_key(candidates)}
+    alpha, shots, seed = _selection_args(config, args)
+    ctx = _context(config, space, [MethodSpec("marginsel", alpha)], None,
+                   test_split=args.test_text is None)
+    test, _ = _test_input(args, ctx.test)
+    with _closing(ctx.backend):
+        step1 = assign_candidates(ctx.backend, ctx.candidate_template, test.text, space)
+    result = {"test_id": test.id, "candidate_key": candidate_key(step1)}
     try:
-        demos = select_demos(
-            lookup, candidates, neighbours, rho, SelectionConfig(alpha, shots, seed)
-        )
+        demos = marginsel_demos(ctx, alpha, shots, test, seed, step1, {})
     except EmptySelection:
         result["error"] = (
             "no hard match at alpha=1; rerun with alpha<1 "
@@ -383,18 +371,26 @@ def cmd_select(config: dict, args) -> int:
     return 4 if "error" in result else 0
 
 
-def _context(config: dict, space, methods: list[MethodSpec]) -> ExperimentContext:
-    """The experiment context for these methods, loading the lookup table
-    and the embedding store only when a method or the fallback uses them."""
+def _context(
+    config: dict, space, methods: list[MethodSpec], fallback: str | None,
+    test_split: bool = True,
+) -> ExperimentContext:
+    """The experiment context for these methods and fallback policy (None
+    when no fallback runs), loading the lookup table and the embedding store
+    only when a method or the fallback uses them, and the test split unless
+    ``test_split`` is false (ad-hoc text needs only the train split)."""
     marginsel = [m for m in methods if m.name == "marginsel"]
     need_store = (
         any(m.name == "knn" for m in methods)
         or any(m.alpha < 1.0 for m in marginsel)
-        or (bool(marginsel) and config["eval"]["fallback"] == "knn")
+        or (bool(marginsel) and fallback == "knn")
     )
     candidate_template, final_template = _templates(config)
     backend = _backend(config, space)
-    train, test = _datasets(config, space)
+    if test_split:
+        train, test = _datasets(config, space)
+    else:
+        train, test = _train_dataset(config, space), Dataset(space, ())
     return ExperimentContext(
         space=space,
         train=train,
@@ -403,7 +399,7 @@ def _context(config: dict, space, methods: list[MethodSpec]) -> ExperimentContex
         candidate_template=candidate_template,
         final_template=final_template,
         lookup=_lookup(config, space, train) if marginsel else None,
-        store=_store(config, required=need_store),
+        store=_store(config) if need_store else None,
         max_in_flight=config["backend"]["max_in_flight"],
     )
 
@@ -438,7 +434,7 @@ def _run_config(config: dict, methods: list[MethodSpec]) -> RunConfig:
 def cmd_eval(config: dict, args) -> int:
     space = _space(config)
     methods = _parse_methods(config["eval"]["methods"])
-    ctx = _context(config, space, methods)
+    ctx = _context(config, space, methods, config["eval"]["fallback"])
     with _closing(ctx.backend):
         report = run_experiment(ctx, _run_config(config, methods))
     for row in report.summary:
@@ -464,7 +460,7 @@ def cmd_sweep(config: dict, args) -> int:
     space = _space(config)
     alphas = config["sweep"]["alphas"]
     methods = [MethodSpec("marginsel", alpha=a) for a in alphas]
-    ctx = _context(config, space, methods)
+    ctx = _context(config, space, methods, config["eval"]["fallback"])
     with _closing(ctx.backend):
         rows = alpha_sweep(ctx, _run_config(config, methods), alphas)
     for row in rows:
@@ -477,18 +473,14 @@ def cmd_sweep(config: dict, args) -> int:
 def cmd_predict(config: dict, args) -> int:
     space = _space(config)
     method_name = args.method or "marginsel"
-    alpha = config["select"]["alpha"] if args.alpha is None else args.alpha
+    alpha, shots, seed = _selection_args(config, args)
     method = MethodSpec(method_name, alpha if method_name == "marginsel" else None)
-    shots = config["select"]["shots"] if args.shots is None else args.shots
-    seed = config["select"]["seed"] if args.seed is None else args.seed
-    ctx = _context(config, space, [method])
-    test_id, test_text, gold = _resolve_test_input(config, args, space)
-    example = Example(id=test_id, text=test_text, gold=gold or space.labels[0])
+    fallback = config["eval"]["fallback"]
+    ctx = _context(config, space, [method], fallback)
+    example, adhoc = _test_input(args, ctx.test)
     with _closing(ctx.backend):
-        predicted, record = predict_one(
-            ctx, method, shots, example, seed, config["eval"]["fallback"]
-        )
-    if gold is None:
+        _, record = predict_one(ctx, method, shots, example, seed, fallback)
+    if adhoc:
         record.pop("gold")
     print(json.dumps(record, indent=2, sort_keys=True))
     return 0
@@ -510,9 +502,11 @@ def cmd_analyze(config: dict, args) -> int:
         if missing:
             raise ConfigError(f"vectors with no gold label: {missing[:5]}")
         cm = analysis.centroid_distances(vectors, golds, space, a["metric"])
-        analysis.write_centroid_outputs(
-            cm, out_dir / "centroids.json", out_dir / "centroids.csv"
-        )
+        matrix = cm.matrix.tolist()
+        write_json(out_dir / "centroids.json",
+                   {"metric": cm.metric, "labels": list(cm.labels), "matrix": matrix})
+        write_csv(out_dir / "centroids.csv", [["label", *cm.labels]] + [
+            [label, *map(repr, row)] for label, row in zip(cm.labels, matrix)])
         analysis.dump_projection_input(
             vectors, {i: golds[i] for i in vectors}, out_dir / "projection.jsonl"
         )
@@ -522,9 +516,9 @@ def cmd_analyze(config: dict, args) -> int:
     if lookup_path.exists():
         lookup = load_lookup(lookup_path, space)
         hist = analysis.candidate_histogram(lookup)
-        analysis.write_histogram_outputs(
-            hist, out_dir / "histogram.json", out_dir / "histogram.csv"
-        )
+        write_json(out_dir / "histogram.json", {str(k): v for k, v in hist.items()})
+        write_csv(out_dir / "histogram.csv", [["candidate_count", "frequency"]] + [
+            [k, repr(v)] for k, v in sorted(hist.items())])
         wrote += ["histogram.json", "histogram.csv"]
 
     eval_records = Path(config["eval"]["out_dir"]) / "records.jsonl"
@@ -540,9 +534,10 @@ def cmd_analyze(config: dict, args) -> int:
     ]
     if records:
         recall = analysis.step1_recall(records, space)
-        analysis.write_recall_outputs(
-            recall, out_dir / "step1_recall.json", out_dir / "step1_recall.csv"
-        )
+        write_json(out_dir / "step1_recall.json", recall)
+        write_csv(out_dir / "step1_recall.csv", [["label", "stratum", "recall"]] + [
+            [label, stratum, repr(value)]
+            for label in sorted(recall) for stratum, value in sorted(recall[label].items())])
         wrote += ["step1_recall.json", "step1_recall.csv"]
 
     if not wrote:
@@ -563,7 +558,7 @@ def cmd_theory_check(config: dict, args) -> int:
     )
     out_path = Path(t["out_path"])
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_json(out_path, report)
     print(f"decomposition max error: {report['decomposition']['max_abs_error']:.3e}")
     print(f"affine update max error: {report['affine_update']['max_abs_error']:.3e}")
     print(f"kkt worst stationarity:  {report['kkt']['stationarity']:.3e}")

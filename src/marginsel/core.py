@@ -1,4 +1,5 @@
-"""Label-space and candidate-set primitives shared by every other module.
+"""Label-space and candidate-set primitives shared by every other module,
+and the one atomic writer of artifact files.
 
 A :class:`LabelSpace` fixes an ordered list of class labels; a
 :class:`CandidateSet` is a bitmask over that space (bit ``i`` always means
@@ -8,8 +9,13 @@ A :class:`LabelSpace` fixes an ordered list of class labels; a
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Sequence
 
 
@@ -151,3 +157,23 @@ class Example:
     def __post_init__(self):
         if not self.id:
             raise ValueError("example id must be non-empty")
+
+
+def replace_file(path: Path, text: str) -> None:
+    """Write text to path through a temporary file in the same directory, so
+    an interrupted write leaves the previous file whole."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+
+
+def write_json(path: Path, obj) -> None:
+    """obj as indented, key-sorted JSON, through replace_file."""
+    replace_file(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def write_csv(path: Path, rows: Iterable[Sequence]) -> None:
+    """rows as CSV lines ending in a bare newline, through replace_file."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    replace_file(path, buf.getvalue())

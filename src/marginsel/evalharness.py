@@ -11,12 +11,9 @@ t-test marker against the baseline method.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import logging
-import os
 import random
 import statistics
 from dataclasses import dataclass, field, replace
@@ -25,7 +22,16 @@ from typing import Sequence
 
 from scipy import stats as scipy_stats
 
-from .core import CandidateSet, Example, LabelSpace, MarginSelError, canonical_label
+from .core import (
+    CandidateSet,
+    Example,
+    LabelSpace,
+    MarginSelError,
+    canonical_label,
+    replace_file,
+    write_csv,
+    write_json,
+)
 from .dataset import Dataset, LabelFrequency, label_frequency
 from .knn import EmbeddingStore, Ranking, knn_retrieve, rank
 from .llm_client import Backend, map_concurrently
@@ -39,8 +45,9 @@ from .prompting import (
     render_final_prompt,
 )
 from .selection import (
+    DemoSet,
     EmptySelection,
-    LookupEntry,
+    LookupTable,
     SelectionConfig,
     assign_candidates,
     build_lookup,
@@ -154,7 +161,7 @@ class ExperimentContext:
     backend: Backend
     candidate_template: PromptTemplate | None = None
     final_template: PromptTemplate | None = None
-    lookup: Sequence[LookupEntry] | None = None  # a LookupTable, or wrapped per call
+    lookup: LookupTable | None = None
     store: EmbeddingStore | None = None
     max_in_flight: int = 4
     rho: LabelFrequency | None = None  # derived from train when not given
@@ -227,6 +234,29 @@ def _fallback_demos(
     return _random_demos(ctx, "fallback", shots, test, seed)
 
 
+def marginsel_demos(
+    ctx: ExperimentContext,
+    alpha: float,
+    shots: int,
+    test: Example,
+    seed: int,
+    step1: CandidateSet | None,
+    rankings: dict[str, Ranking],
+) -> DemoSet:
+    """MarginSel's demonstrations for one test input, composed here and only
+    here so that ``select`` shows what ``predict`` and ``eval`` use:
+    select_demos over the lookup table with the test's step-1 candidate set
+    (None or empty when assignment failed), the draw seeded from (seed,
+    "marginsel", test id) and, when alpha < 1, the test's neighbour ranking
+    from ``rankings``.  Raises EmptySelection at alpha = 1 when nothing
+    matches."""
+    cfg = SelectionConfig(alpha, shots, derive_seed(seed, MARGINSEL, test.id))
+    neighbours = None
+    if alpha < 1.0:
+        neighbours = _ranking(ctx, "marginsel at alpha < 1", test, rankings)
+    return select_demos(ctx.lookup, step1, neighbours, ctx.rho, cfg)
+
+
 def _choose_demos(
     ctx: ExperimentContext,
     method: MethodSpec,
@@ -246,19 +276,11 @@ def _choose_demos(
 
     if step1 is None:
         step1 = assign_candidates(ctx.backend, ctx.candidate_template, test.text, ctx.space)
-    selection_cfg = SelectionConfig(
-        alpha=method.alpha,
-        shots=shots,
-        seed=derive_seed(seed, "marginsel", test.id),
-    )
-    neighbours = None
-    if method.alpha < 1.0:
-        neighbours = _ranking(ctx, "marginsel at alpha < 1", test, rankings)
     try:
-        demo_set = select_demos(ctx.lookup, step1, neighbours, ctx.rho, selection_cfg)
-        return [(e.example, e.source) for e in demo_set], step1, False
+        demo_set = marginsel_demos(ctx, method.alpha, shots, test, seed, step1, rankings)
     except EmptySelection:
         return _fallback_demos(ctx, fallback_policy, shots, test, seed, rankings), step1, True
+    return [(e.example, e.source) for e in demo_set], step1, False
 
 
 def predict_one(
@@ -434,32 +456,10 @@ def _jsonl(records: Sequence[dict]) -> str:
     )
 
 
-def _csv(rows: Sequence[Sequence]) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
-
-
-def _replace_file(path: Path, text: str) -> None:
-    """Write text to path through a temporary file in the same directory, so
-    an interrupted write leaves the previous file whole."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _persist(report: RunReport, out_dir: Path) -> None:
     records_sorted = sorted(report.records, key=_cell_key)
-    _replace_file(out_dir / "records.jsonl", _jsonl(records_sorted))
-    _replace_file(
-        out_dir / "report.json",
-        json.dumps(
-            {"cells": report.cells, "summary": report.summary},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-    )
+    replace_file(out_dir / "records.jsonl", _jsonl(records_sorted))
+    write_json(out_dir / "report.json", {"cells": report.cells, "summary": report.summary})
     rows = [["method", "alpha", "shot", "seed", "macro_f1"]]
     for cell in report.cells:
         rows.append(
@@ -471,7 +471,7 @@ def _persist(report: RunReport, out_dir: Path) -> None:
                 repr(cell["macro_f1"]) if "macro_f1" in cell else "error",
             ]
         )
-    _replace_file(out_dir / "report.csv", _csv(rows))
+    write_csv(out_dir / "report.csv", rows)
 
 
 def alpha_sweep(
@@ -498,10 +498,8 @@ def alpha_sweep(
             }
         )
     if out_dir:
-        _replace_file(
-            out_dir / "sweep.json", json.dumps(rows, indent=2, sort_keys=True) + "\n"
-        )
+        write_json(out_dir / "sweep.json", rows)
         table = [["alpha", "mean_macro_f1"]]
         table += [[repr(row["alpha"]), repr(row["mean_macro_f1"])] for row in rows]
-        _replace_file(out_dir / "sweep.csv", _csv(table))
+        write_csv(out_dir / "sweep.csv", table)
     return rows

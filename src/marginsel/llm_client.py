@@ -91,12 +91,15 @@ def _retry_after(resp: requests.Response, cap: float) -> float | None:
 
 class HttpBackend:
     """Chat-completion client for any endpoint speaking the standard JSON
-    protocol.  Temperature defaults to 0 for reproducibility."""
+    protocol.  Temperature defaults to 0 for reproducibility.  ``calls``
+    counts completions asked for, from any thread."""
 
     def __init__(self, config: BackendConfig):
         self.config = config
         self.model_name = config.model_name
         self.temperature = config.temperature
+        self.calls = 0
+        self._calls_lock = threading.Lock()
         self._session = requests.Session()
 
     def close(self) -> None:
@@ -159,6 +162,8 @@ class HttpBackend:
         raise Transport(f"{last_error} after {attempts} attempts")
 
     def complete(self, system: str, user: str) -> tuple[str, int]:
+        with self._calls_lock:
+            self.calls += 1
         payload = {
             "model": self.config.model_name,
             "temperature": self.config.temperature,
@@ -322,10 +327,11 @@ class CachedBackend:
 
 
 def backend_calls(backend: Backend) -> int:
-    """Number of non-cache invocations a backend has made, where knowable."""
+    """Number of non-cache invocations a backend has made: a cache's misses,
+    else the backend's own ``calls``."""
     if isinstance(backend, CachedBackend):
         return backend.misses
-    return getattr(backend, "calls", 0)
+    return backend.calls
 
 
 def map_concurrently(

@@ -27,10 +27,14 @@ from .core import (
     LabelSpace,
     MarginSelError,
     candidate_set_from_labels,
+    replace_file,
     round_half_up,
 )
 from .dataset import Dataset, LabelFrequency
-from .knn import EmbeddingStore, Ranking, knn_retrieve, rank
+from .knn import (
+    Ranking,
+    knn_retrieve,  # not called here; bench/tracing.py spans this binding
+)
 from .llm_client import Backend, map_concurrently
 from .prompting import (
     EmptySet,
@@ -64,7 +68,7 @@ class LookupEntry:
 
 class Pool(tuple):
     """Lookup entries in lookup order; ``labels[codes[i]]`` is row i's gold
-    label.  Equal to a list or tuple of the same entries."""
+    label."""
 
     def __new__(cls, entries: Sequence[LookupEntry] = ()):
         pool = super().__new__(cls, entries)
@@ -72,11 +76,6 @@ class Pool(tuple):
         code = {label: i for i, label in enumerate(pool.labels)}
         pool.codes = np.array([code[e.example.gold] for e in pool], dtype=np.intp)
         return pool
-
-    def __eq__(self, other):
-        return isinstance(other, (list, tuple)) and tuple(self) == tuple(other)
-
-    __ne__ = object.__ne__  # the negation of __eq__, not tuple's comparison
 
 
 class LookupTable(Pool):
@@ -94,20 +93,15 @@ class LookupTable(Pool):
         return table
 
 
-def _as_table(lookup: Sequence[LookupEntry]) -> LookupTable:
-    return lookup if isinstance(lookup, LookupTable) else LookupTable(lookup)
-
-
 class StaleLookup(MarginSelError):
     """The lookup table does not hold the train split's examples in order."""
 
 
-def check_lookup(lookup: Sequence[LookupEntry], train: Dataset) -> None:
+def check_lookup(table: LookupTable, train: Dataset) -> None:
     """Refuse a lookup table built from another split: a test input could
     pick itself as a demonstration, and kNN, which ranks the train split,
     could pick an id the table does not hold.  A table remembers the split
     it last passed with, so checking it again against that split is free."""
-    table = _as_table(lookup)
     if table.split is train.examples:
         return
     if tuple(e.example for e in table) != train.examples:
@@ -201,11 +195,12 @@ def save_lookup(entries: Sequence[LookupEntry], path: str | Path, space: LabelSp
     out in space order; reloading reproduces bit-identical candidate sets."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in entries:
-            record = {"id": e.example.id, "text": e.example.text, "gold": e.example.gold,
-                      "candidates": list(e.candidates.labels_in(space))}
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    replace_file(path, "".join(
+        json.dumps({"id": e.example.id, "text": e.example.text, "gold": e.example.gold,
+                    "candidates": list(e.candidates.labels_in(space))}, ensure_ascii=False)
+        + "\n"
+        for e in entries
+    ))
 
 
 def load_lookup(path: str | Path, space: LabelSpace) -> LookupTable:
@@ -218,16 +213,16 @@ def load_lookup(path: str | Path, space: LabelSpace) -> LookupTable:
     )
 
 
-def match_hard(lookup: Sequence[LookupEntry], test_candidates: CandidateSet) -> Pool:
+def match_hard(table: LookupTable, test_candidates: CandidateSet) -> Pool:
     """Entries whose candidate set is bit-identical to the test's, in lookup
     order.  Empty-set (parse-failure) entries never match."""
     if test_candidates.is_empty:
         raise ValueError("test candidate set must be non-empty")
-    return _as_table(lookup).pools.get(test_candidates, Pool())
+    return table.pools.get(test_candidates, Pool())
 
 
 def weighted_sample(
-    matched: Sequence[LookupEntry],
+    pool: Pool,
     k: int,
     rho: LabelFrequency,
     seed: int,
@@ -244,7 +239,6 @@ def weighted_sample(
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    pool = matched if isinstance(matched, Pool) else Pool(matched)
     try:
         label_weights = np.array([rho.weight(label) for label in pool.labels])
     except KeyError as exc:
@@ -269,9 +263,9 @@ def weighted_sample(
 
 
 def select_demos(
-    lookup: Sequence[LookupEntry],
+    table: LookupTable,
     test_candidates: CandidateSet | None,
-    neighbours: Ranking | tuple[EmbeddingStore, str] | None,
+    neighbours: Ranking | None,
     rho: LabelFrequency,
     cfg: SelectionConfig,
 ) -> DemoSet:
@@ -280,15 +274,13 @@ def select_demos(
     Hard quota h = round_half_up(alpha * n).  When alpha < 1, kNN fills every
     remaining slot (including any hard shortfall) with the first ids of the
     test input's neighbour ranking over the lookup's ids that are not
-    already picked, so the set reaches n whenever the pool allows.  A
-    (store, query_id) pair is ranked here.  When alpha = 1 the set is the
-    matched pool capped at h, and an empty pool raises EmptySelection for
-    the caller's fallback policy.
+    already picked, so the set reaches n whenever the pool allows.  When
+    alpha = 1 the set is the matched pool capped at h, and an empty pool
+    raises EmptySelection for the caller's fallback policy.
 
     test_candidates may be None (or empty) when the assignment step failed
     for the test input; the matched pool is then empty.
     """
-    table = _as_table(lookup)
     if not table:
         raise ValueError("lookup table is empty")
     quota = round_half_up(cfg.alpha * cfg.shots)
@@ -306,9 +298,6 @@ def select_demos(
 
     if neighbours is None:
         raise ValueError("alpha < 1 requires the test input's neighbour ranking")
-    if isinstance(neighbours, tuple):
-        store, query_id = neighbours
-        neighbours = rank(store, query_id, list(table.examples), knn_retrieve)
     hard_ids = {e.example.id for e in hard}
     neighbor_ids = neighbours.take(cfg.shots - len(hard), hard_ids)
     entries = [DemoEntry(e.example, HARD) for e in hard]

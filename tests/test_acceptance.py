@@ -27,10 +27,12 @@ from marginsel.evalharness import (
     macro_f1,
     run_experiment,
 )
-from marginsel.knn import build_store, knn_retrieve
+from marginsel.knn import build_store, knn_retrieve, rank
 from marginsel.selection import (
     EmptySelection,
     LookupEntry,
+    LookupTable,
+    Pool,
     SelectionConfig,
     select_demos,
     weighted_sample,
@@ -140,7 +142,7 @@ def _random_instance(rng, n_max=50, c_max=5, shots_max=6):
         ]
     )
     shots = rng.randint(1, shots_max)
-    return space, lookup, rho, store, shots, rng.choice(keys)
+    return space, LookupTable(lookup), rho, store, shots, rng.choice(keys)
 
 
 # --------------------------------------------------------------------------
@@ -164,7 +166,8 @@ def test_criterion_1_selection_oracle_equivalence():
         quota = math.floor(alpha * shots + 0.5)
         try:
             demos = select_demos(
-                lookup, test_set, (store, "q"), rho, SelectionConfig(alpha, shots, seed)
+                lookup, test_set, rank(store, "q", [e.example.id for e in lookup]), rho,
+                SelectionConfig(alpha, shots, seed)
             )
         except EmptySelection:
             assert alpha == 1.0 and not matched_rows
@@ -197,7 +200,7 @@ def test_criterion_1_selection_oracle_equivalence():
     ]
     n_seeds = 100_000
     for golds, rho_map, k in tv_cases:
-        matched = [_entry(f"i{j}", g, "100") for j, g in enumerate(golds)]
+        matched = Pool([_entry(f"i{j}", g, "100") for j, g in enumerate(golds)])
         rho = LabelFrequency(rho_map)
         weights = [1.0 / rho_map[g] for g in golds]
         exact = oracle_exact_set_distribution(weights, k)
@@ -227,10 +230,11 @@ def test_criterion_2_alpha_endpoints():
     for trial in range(100):
         space, lookup, rho, store, shots, test_key = _random_instance(rng)
         test_set = candidate_set_from_key(test_key, space)
+        ids = [e.example.id for e in lookup]
         demos = select_demos(
-            lookup, test_set, (store, "q"), rho, SelectionConfig(0.0, shots, seed=trial)
+            lookup, test_set, rank(store, "q", ids), rho, SelectionConfig(0.0, shots, seed=trial)
         )
-        expected = knn_retrieve(store, "q", shots, [e.example.id for e in lookup])
+        expected = knn_retrieve(store, "q", shots, ids)
         assert demos.ids() == expected
 
         matched_ids = {
@@ -257,7 +261,7 @@ def test_criterion_2_alpha_endpoints():
         demos = select_demos(
             lookup,
             candidate_set_from_key(test_key, space),
-            (store, "q"),
+            rank(store, "q", [e.example.id for e in lookup]),
             rho,
             SelectionConfig(0.9, 10, seed=composed),
         )
@@ -280,6 +284,7 @@ def test_criterion_3_inverse_frequency_sampling():
     # with probability exactly 0.5.
     matched = [_entry(f"r{i}", "red", "100") for i in range(90)]
     matched += [_entry(f"g{i}", "green", "010") for i in range(10)]
+    matched = Pool(matched)
     rho = LabelFrequency({"red": 0.9, "green": 0.1})
     n_seeds = 10_000
     hits = sum(

@@ -188,7 +188,7 @@ def test_select_mixed_alpha_quota(tmp_path, capsys):
     code = main(
         [
             "--config", str(config_path),
-            "select", "--test-id", "e00",
+            "select", "--test-id", "e12",
             "--alpha", "0.5", "--shots", "4",
         ]
     )
@@ -213,6 +213,47 @@ def test_predict_single_example(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["predicted"] in {"red", "green", "blue"}
     assert len(out["demo_ids"]) == 2
+
+
+def test_select_and_predict_refuse_train_ids(tmp_path, capsys):
+    # A train id would find its own row in its hard pool and pick itself.
+    config_path = make_workspace(tmp_path)
+    main(["--config", str(config_path), "assign"])
+    capsys.readouterr()
+    for command in ("select", "predict"):
+        for train_id in ("e00", "e02", "e03"):
+            code = main(["--config", str(config_path), command, "--test-id", train_id])
+            assert code == 2
+            assert repr(train_id) in capsys.readouterr().err
+
+
+def test_select_shows_the_demos_predict_and_eval_use(tmp_path, capsys):
+    config_path = make_workspace(tmp_path)
+    main(["--config", str(config_path), "assign"])
+    overrides = [
+        "--set", 'eval.methods=[{"name": "marginsel", "alpha": 1.0}, '
+        '{"name": "marginsel", "alpha": 0.5}]',
+        "--set", "eval.shots=[4]", "--set", "eval.seeds=[0, 1, 2]",
+    ]
+    assert main(["--config", str(config_path), *overrides, "eval"]) == 0
+    capsys.readouterr()
+    records = (tmp_path / "runs" / "records.jsonl").read_text().splitlines()
+    assert len(records) == 6 * 2 * 3
+    for line in records:
+        record = json.loads(line)
+        alpha = "1" if record["method"] == "marginsel(alpha=1)" else "0.5"
+        args = ["--test-id", record["id"], "--alpha", alpha, "--shots", "4",
+                "--seed", str(record["seed"])]
+        assert main(["--config", str(config_path), "predict", *args]) == 0
+        assert json.loads(capsys.readouterr().out) == record
+        code = main(["--config", str(config_path), "select", *args])
+        shown = json.loads(capsys.readouterr().out)
+        if record["fallback"]:
+            assert code == 4 and "demos" not in shown
+        else:
+            assert code == 0
+            assert [d["id"] for d in shown["demos"]] == record["demo_ids"]
+            assert [d["source"] for d in shown["demos"]] == record["demo_sources"]
 
 
 def test_eval_writes_reports_and_is_idempotent(tmp_path, capsys):
@@ -350,7 +391,7 @@ def test_select_refuses_a_lookup_of_another_split(tmp_path, capsys):
         assert code == 2
         err = capsys.readouterr().err
         assert str(tmp_path / "lookup.jsonl") in err and "assign" in err
-    assert main(["--config", str(config_path), *select, "--test-id", "e00"]) in (0, 4)
+    assert main(["--config", str(config_path), *select, "--test-id", "e12"]) in (0, 4)
 
 
 def test_duplicate_methods_exit_2(tmp_path, capsys):
@@ -372,6 +413,10 @@ def test_sweep_reports_failed_cells(tmp_path, capsys, monkeypatch):
             self.backend = backend
             self.model_name = backend.model_name
             self.temperature = backend.temperature
+
+        @property
+        def calls(self):
+            return cli.backend_calls(self.backend)
 
         def complete(self, system, user):
             if user.count("Text: '") == 3:

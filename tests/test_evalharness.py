@@ -395,14 +395,14 @@ def test_each_test_input_is_ranked_once_per_run(monkeypatch):
 def test_context_refuses_a_lookup_of_another_split():
     # The lookup is the kNN candidate list as well as the hard pool, so a
     # context whose lookup does not hold the train split in order is refused.
-    from marginsel.selection import StaleLookup
+    from marginsel.selection import LookupTable, StaleLookup
 
     ctx = planted_pipeline()
     smaller = planted_pipeline(n_train_per_sig=7)
     with pytest.raises(StaleLookup):
         replace(ctx, lookup=smaller.lookup)
     with pytest.raises(StaleLookup):
-        replace(ctx, lookup=list(reversed(ctx.lookup)))
+        replace(ctx, lookup=LookupTable(reversed(ctx.lookup)))
     assert replace(ctx, test=smaller.test).lookup is ctx.lookup
 
 

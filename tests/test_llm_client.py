@@ -19,6 +19,7 @@ from marginsel.llm_client import (
     MockRule,
     Timeout,
     Transport,
+    backend_calls,
     map_concurrently,
     mock_multilabel,
 )
@@ -164,6 +165,21 @@ def test_http_success_sends_expected_shape(server, monkeypatch):
     assert request["body"]["temperature"] == 0.0
     assert [m["role"] for m in request["body"]["messages"]] == ["system", "user"]
     assert request["body"]["messages"][0]["content"] == "sys prompt"
+
+
+def test_http_backend_counts_its_calls(server):
+    base_url, _ = server
+    with HttpBackend(_config(base_url)) as backend:
+        backend.complete("s", "u1")
+        backend.complete("s", "u2")
+        assert backend_calls(backend) == 2
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            map_concurrently(lambda i: backend.complete("s", f"u{i}"), range(16), 8)
+        finally:
+            sys.setswitchinterval(switch)
+        assert backend_calls(backend) == 18
 
 
 def test_http_retries_5xx_then_succeeds(server):

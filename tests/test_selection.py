@@ -98,11 +98,11 @@ def test_build_lookup_degraded_entry_on_bad_reply(caplog):
 
 
 def test_lookup_round_trip_is_byte_identical(tmp_path):
-    entries = [
+    entries = LookupTable([
         entry("1", "red", "110"),
         entry("2", "green", "010"),
         entry("3", "blue", "000"),  # degraded entry survives persistence
-    ]
+    ])
     first = tmp_path / "lookup1.jsonl"
     second = tmp_path / "lookup2.jsonl"
     save_lookup(entries, first, RGB)
@@ -112,6 +112,28 @@ def test_lookup_round_trip_is_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_interrupted_lookup_save_keeps_the_previous_table(tmp_path, monkeypatch):
+    rows = [entry(str(i), "red", "110") for i in range(5)]
+    path = tmp_path / "lookup.jsonl"
+    save_lookup(rows, path, RGB)
+    before = path.read_bytes()
+    real_dumps = selection_module.json.dumps
+    calls = []
+
+    def interrupted_after_two(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 2:
+            raise KeyboardInterrupt
+        return real_dumps(*args, **kwargs)
+
+    monkeypatch.setattr(selection_module.json, "dumps", interrupted_after_two)
+    with pytest.raises(KeyboardInterrupt):
+        save_lookup(rows, path, RGB)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["lookup.jsonl"]
+
+
 # --------------------------------------------------------------------------
 # match_hard
 # --------------------------------------------------------------------------
@@ -119,20 +141,20 @@ def test_lookup_round_trip_is_byte_identical(tmp_path):
 
 def test_match_hard_bit_identity():
     space = LabelSpace(["l1", "l2", "l3", "l4", "l5"])
-    lookup = [
+    lookup = LookupTable([
         entry("1", "l1", "10010", space),
         entry("2", "l1", "10001", space),
         entry("3", "l4", "10010", space),
-    ]
+    ])
     test_set = candidate_set_from_key("10010", space)
     assert [e.example.id for e in match_hard(lookup, test_set)] == ["1", "3"]
 
 
 def test_match_hard_empty_result_and_sentinel_exclusion():
-    lookup = [entry("1", "red", "100"), entry("2", "red", "000")]
-    assert match_hard(lookup, candidate_set_from_key("010", RGB)) == []
+    lookup = LookupTable([entry("1", "red", "100"), entry("2", "red", "000")])
+    assert match_hard(lookup, candidate_set_from_key("010", RGB)) == ()
     # parse-failure entries never match any non-empty test set
-    assert match_hard(lookup, candidate_set_from_key("100", RGB)) == [lookup[0]]
+    assert match_hard(lookup, candidate_set_from_key("100", RGB)) == (lookup[0],)
     with pytest.raises(ValueError):
         match_hard(lookup, CandidateSet.empty(RGB))
 
@@ -149,12 +171,12 @@ def _rho(**props):
 def test_small_pool_returned_unchanged():
     matched = [entry(str(i), "red", "100") for i in range(3)]
     rho = _rho(red=1.0)
-    assert weighted_sample(matched, 5, rho, seed=1) == matched
-    assert weighted_sample(matched, 3, rho, seed=1) == matched
+    assert weighted_sample(Pool(matched), 5, rho, seed=1) == matched
+    assert weighted_sample(Pool(matched), 3, rho, seed=1) == matched
 
 
 def test_missing_frequency():
-    matched = [entry("1", "red", "100")]
+    matched = Pool([entry("1", "red", "100")])
     with pytest.raises(MissingFrequency):
         weighted_sample(matched, 0, _rho(green=1.0), seed=0)
 
@@ -164,7 +186,7 @@ def test_first_draw_probability_matches_inverse_frequency():
     # holds half the total weight, so a green entry leads the draw half the
     # time.  Expected 0.5 computed analytically from w = 1/rho.
     matched = [entry(f"r{i}", "red", "100") for i in range(90)]
-    matched += [entry(f"g{i}", "green", "010") for i in range(10)]
+    matched = Pool(matched + [entry(f"g{i}", "green", "010") for i in range(10)])
     rho = _rho(red=0.9, green=0.1)
     hits = sum(
         weighted_sample(matched, 1, rho, seed=s)[0].example.gold == "green"
@@ -174,7 +196,7 @@ def test_first_draw_probability_matches_inverse_frequency():
 
 
 def test_weighted_sample_deterministic_and_without_replacement():
-    matched = [entry(str(i), "red" if i % 2 else "green", "110") for i in range(12)]
+    matched = Pool([entry(str(i), "red" if i % 2 else "green", "110") for i in range(12)])
     rho = _rho(red=0.5, green=0.5)
     a = weighted_sample(matched, 5, rho, seed=99)
     b = weighted_sample(matched, 5, rho, seed=99)
@@ -197,15 +219,12 @@ def test_weighted_sample_replays_the_oracle_on_a_large_pool():
         make_dataset(space, [(e.example.id, e.example.text, e.example.gold) for e in rows])
     )
     pool = match_hard(LookupTable(rows), candidate_set_from_key("11010", space))
-    assert isinstance(pool, Pool) and pool == rows
+    assert isinstance(pool, Pool) and pool == tuple(rows)
     oracle_rows = [(e.example.id, e.example.gold) for e in rows]
     for k in (1, 4, 16):
         for seed in range(200):
             want = oracle_draw(oracle_rows, rho.proportions, k, seed)
             assert [e.example.id for e in weighted_sample(pool, k, rho, seed)] == want
-            if seed % 20 == 0:  # a plain list is wrapped per call
-                got = weighted_sample(rows, k, rho, seed)
-                assert [e.example.id for e in got] == want
 
 
 def test_weighted_sample_cap_takes_the_last_remaining_entry(monkeypatch):
@@ -227,7 +246,7 @@ def test_weighted_sample_cap_takes_the_last_remaining_entry(monkeypatch):
     rho = label_frequency(
         make_dataset(RGB, [(e.example.id, e.example.text, e.example.gold) for e in rows])
     )
-    got = [e.example.id for e in weighted_sample(rows, 3, rho, seed=0)]
+    got = [e.example.id for e in weighted_sample(Pool(rows), 3, rho, seed=0)]
     want = oracle_draw([(e.example.id, e.example.gold) for e in rows], rho.proportions, 3, 0)
     assert got == want == ["d", "c", "b"]
 
@@ -237,23 +256,12 @@ def test_lookup_table_indexes_once(tmp_path):
     save_lookup(rows, tmp_path / "lookup.jsonl", RGB)
     table = load_lookup(tmp_path / "lookup.jsonl", RGB)
     assert isinstance(table, LookupTable)
-    assert table == rows and not table != rows and tuple(table) == tuple(rows)
-    assert table.pools[candidate_set_from_key("110", RGB)] == [rows[0], rows[2]]
+    assert tuple(table) == tuple(rows)
+    assert table.pools[candidate_set_from_key("110", RGB)] == (rows[0], rows[2])
     assert table.examples["2"] == rows[1].example
     assert [table.labels[c] for c in table.codes] == ["red", "blue", "green"]
     with pytest.raises(TypeError):
         table[0] = rows[1]
-
-
-def test_select_demos_same_for_a_list_and_a_table():
-    lookup, rho = _lookup_fixture()
-    store = _store_for(lookup)
-    test_set = candidate_set_from_key("110", RGB)
-    for alpha in (0.0, 0.5, 1.0):
-        cfg = SelectionConfig(alpha, 4, seed=5)
-        from_list = select_demos(lookup, test_set, (store, "test"), rho, cfg)
-        from_table = select_demos(LookupTable(lookup), test_set, (store, "test"), rho, cfg)
-        assert from_list == from_table
 
 
 # --------------------------------------------------------------------------
@@ -269,6 +277,11 @@ def _store_for(lookup, query_vec=(1.0, 0.0)):
     return build_store(items)
 
 
+def _ranking(store, lookup, query="test"):
+    """The query's neighbour ranking over the lookup's ids."""
+    return rank(store, query, [e.example.id for e in lookup])
+
+
 def _lookup_fixture():
     lookup = [
         entry("1", "red", "110"),
@@ -281,7 +294,7 @@ def _lookup_fixture():
     train = make_dataset(
         RGB, [(e.example.id, e.example.text, e.example.gold) for e in lookup]
     )
-    return lookup, label_frequency(train)
+    return LookupTable(lookup), label_frequency(train)
 
 
 def test_alpha_zero_is_pure_knn():
@@ -289,7 +302,7 @@ def test_alpha_zero_is_pure_knn():
     store = _store_for(lookup)
     test_set = candidate_set_from_key("110", RGB)
     demos = select_demos(
-        lookup, test_set, (store, "test"), rho, SelectionConfig(0.0, 4, seed=3)
+        lookup, test_set, _ranking(store, lookup), rho, SelectionConfig(0.0, 4, seed=3)
     )
     knn_ids = knn_retrieve(store, "test", 4, [e.example.id for e in lookup])
     assert demos.ids() == knn_ids
@@ -322,7 +335,7 @@ def test_mixed_alpha_quota_and_ordering():
     store = _store_for(lookup)
     test_set = candidate_set_from_key("110", RGB)  # matches 1, 2, 4
     demos = select_demos(
-        lookup, test_set, (store, "test"), rho, SelectionConfig(0.5, 4, seed=7)
+        lookup, test_set, _ranking(store, lookup), rho, SelectionConfig(0.5, 4, seed=7)
     )
     sources = [e.source for e in demos]
     assert sources == ["hard", "hard", "knn", "knn"]
@@ -336,7 +349,7 @@ def test_knn_backfills_hard_shortfall():
     store = _store_for(lookup)
     test_set = candidate_set_from_key("010", RGB)  # only id 5 matches
     demos = select_demos(
-        lookup, test_set, (store, "test"), rho, SelectionConfig(0.9, 4, seed=1)
+        lookup, test_set, _ranking(store, lookup), rho, SelectionConfig(0.9, 4, seed=1)
     )
     assert len(demos) == 4  # 1 hard + 3 backfilled
     assert [e.source for e in demos][:1] == ["hard"]
@@ -347,7 +360,7 @@ def test_empty_step1_with_mixed_alpha_degrades_to_knn():
     lookup, rho = _lookup_fixture()
     store = _store_for(lookup)
     demos = select_demos(
-        lookup, None, (store, "test"), rho, SelectionConfig(0.5, 4, seed=1)
+        lookup, None, _ranking(store, lookup), rho, SelectionConfig(0.5, 4, seed=1)
     )
     assert all(e.source == "knn" for e in demos)
     assert len(demos) == 4
@@ -366,10 +379,9 @@ def test_zero_norm_hard_pick_is_never_scored():
     test_set = candidate_set_from_key("011", RGB)  # matches ids 3 and 6
     cfg = SelectionConfig(0.5, 4, seed=0)
     ranking = rank(store, "test", ids)
-    for neighbours in (ranking, (store, "test")):
-        demos = select_demos(lookup, test_set, neighbours, rho, cfg)
-        assert demos.ids() == ["3", "6"] + knn_retrieve(store, "test", 2, ids, {"3", "6"})
-        assert [e.source for e in demos] == ["hard", "hard", "knn", "knn"]
+    demos = select_demos(lookup, test_set, ranking, rho, cfg)
+    assert demos.ids() == ["3", "6"] + knn_retrieve(store, "test", 2, ids, {"3", "6"})
+    assert [e.source for e in demos] == ["hard", "hard", "knn", "knn"]
     with pytest.raises(ZeroNorm):
         ranking.take(2)
 
@@ -379,8 +391,8 @@ def test_select_demos_deterministic():
     store = _store_for(lookup)
     test_set = candidate_set_from_key("110", RGB)
     cfg = SelectionConfig(0.5, 4, seed=11)
-    a = select_demos(lookup, test_set, (store, "test"), rho, cfg)
-    b = select_demos(lookup, test_set, (store, "test"), rho, cfg)
+    a = select_demos(lookup, test_set, _ranking(store, lookup), rho, cfg)
+    b = select_demos(lookup, test_set, _ranking(store, lookup), rho, cfg)
     assert a.ids() == b.ids()
     assert [e.source for e in a] == [e.source for e in b]
 
@@ -428,7 +440,8 @@ def test_alpha_boundary_equivalence_property():
         shots = rng.randint(1, 6)
         test_set = candidate_set_from_labels([rng.choice(RGB.labels)], RGB)
         demos = select_demos(
-            lookup, test_set, (store, "q"), rho, SelectionConfig(0.0, shots, seed=trial)
+            LookupTable(lookup), test_set, _ranking(store, lookup, "q"), rho,
+            SelectionConfig(0.0, shots, seed=trial)
         )
         expected = knn_retrieve(store, "q", shots, [e.example.id for e in lookup])
         assert demos.ids() == expected
