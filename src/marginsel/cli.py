@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -33,6 +34,7 @@ from .dataset import Dataset, load_dataset, stratified_split
 from .evalharness import (
     ExperimentContext,
     MethodSpec,
+    NoEmbeddingStore,
     RunConfig,
     alpha_sweep,
     load_records,
@@ -107,7 +109,6 @@ DEFAULT_CONFIG: dict = {
         "shots": [2, 4, 6, 8, 10],
         "seeds": [0, 1, 2],
         "fallback": "knn",
-        "average": "macro",
         "baseline": "random",
         "out_dir": "runs/default",
     },
@@ -236,18 +237,9 @@ def _backend(config: dict, space: LabelSpace):
     elif b["type"] == "http":
         if not b["base_url"]:
             raise ConfigError("http backend needs backend.base_url")
-        backend = HttpBackend(
-            BackendConfig(
-                base_url=b["base_url"],
-                model_name=b["model"],
-                temperature=b["temperature"],
-                max_retries=b["max_retries"],
-                timeout=b["timeout"],
-                api_key_env=b["api_key_env"],
-                max_output_tokens=b["max_output_tokens"],
-                backoff_base=b["backoff_base"],
-            )
-        )
+        http = {f.name for f in dataclasses.fields(BackendConfig)}
+        backend = HttpBackend(BackendConfig(
+            model_name=b["model"], **{k: v for k, v in b.items() if k in http}))
     else:
         raise ConfigError(f"unknown backend.type {b['type']!r} (mock or http)")
     if b["cache_dir"]:
@@ -261,21 +253,21 @@ def _closing(backend) -> contextlib.AbstractContextManager:
     return inner if isinstance(inner, HttpBackend) else contextlib.nullcontext()
 
 
-def _datasets(config: dict, space: LabelSpace) -> tuple[Dataset, Dataset]:
+def _datasets(
+    config: dict, space: LabelSpace, test_split: bool = True
+) -> tuple[Dataset, Dataset]:
+    """The train and test splits; without ``test_split`` the test split is
+    empty and no test file is read."""
     d = config["dataset"]
-    if d["train_path"] and d["test_path"]:
-        return load_dataset(d["train_path"], space), load_dataset(d["test_path"], space)
-    if d["path"]:
+    if d["train_path"] and (d["test_path"] or not test_split):
+        train = load_dataset(d["train_path"], space)
+        test = load_dataset(d["test_path"], space) if test_split else None
+    elif d["path"]:
         full = load_dataset(d["path"], space)
-        return stratified_split(full, d["test_fraction"], d["split_seed"])
-    raise ConfigError("config needs dataset.path or dataset.train_path/test_path")
-
-
-def _train_dataset(config: dict, space: LabelSpace) -> Dataset:
-    d = config["dataset"]
-    if d["train_path"]:
-        return load_dataset(d["train_path"], space)
-    return _datasets(config, space)[0]
+        train, test = stratified_split(full, d["test_fraction"], d["split_seed"])
+    else:
+        raise ConfigError("config needs dataset.path or dataset.train_path/test_path")
+    return train, test if test_split else Dataset(space, ())
 
 
 def _store(config: dict):
@@ -310,7 +302,7 @@ def cmd_assign(config: dict, args) -> int:
     space = _space(config)
     candidate_template, _ = _templates(config)
     backend = _backend(config, space)
-    train = _train_dataset(config, space)
+    train, _ = _datasets(config, space, test_split=False)
     with _closing(backend):
         entries = build_lookup(
             train, backend, candidate_template, config["backend"]["max_in_flight"]
@@ -332,28 +324,26 @@ def _selection_args(config: dict, args) -> tuple[float, int, int]:
                  for key in ("alpha", "shots", "seed"))
 
 
-def _test_input(args, test: Dataset) -> tuple[Example, bool]:
-    """The requested test input, and whether it is ad-hoc text (id "adhoc",
-    gold a placeholder).  Ids are looked up in the test split only: a train
-    id would find its own row in the lookup table and pick itself."""
+def _test_input(args, test: Dataset) -> Example:
+    """The requested test input: ad-hoc text (id "adhoc", gold a
+    placeholder) or an id looked up in the test split only, since a train id
+    would find its own row in the lookup table and pick itself."""
     if args.test_text is not None:
-        return Example("adhoc", args.test_text, test.space.labels[0]), True
+        return Example("adhoc", args.test_text, test.space.labels[0])
     if args.test_id is None:
         raise ConfigError("provide --test-id or --test-text")
     example = test.index.get(args.test_id)
     if example is None:
         raise ConfigError(f"test id {args.test_id!r} is not in the test split")
-    return example, False
+    return example
 
 
 def cmd_select(config: dict, args) -> int:
-    space = _space(config)
     alpha, shots, seed = _selection_args(config, args)
-    ctx = _context(config, space, [MethodSpec("marginsel", alpha)], None,
-                   test_split=args.test_text is None)
-    test, _ = _test_input(args, ctx.test)
+    ctx = _context(config, [MethodSpec("marginsel", alpha)], None, args.test_text is not None)
+    test = _test_input(args, ctx.test)
     with _closing(ctx.backend):
-        step1 = assign_candidates(ctx.backend, ctx.candidate_template, test.text, space)
+        step1 = assign_candidates(ctx.backend, ctx.candidate_template, test.text, ctx.space)
     result = {"test_id": test.id, "candidate_key": candidate_key(step1)}
     try:
         demos = marginsel_demos(ctx, alpha, shots, test, seed, step1, {})
@@ -371,26 +361,29 @@ def cmd_select(config: dict, args) -> int:
     return 4 if "error" in result else 0
 
 
+ADHOC_KNN = (
+    "kNN cannot rank ad-hoc text, which has no embedding: the knn method, alpha < 1 "
+    "and the knn fallback need --test-id with an input of the test split"
+)
+
+
 def _context(
-    config: dict, space, methods: list[MethodSpec], fallback: str | None,
-    test_split: bool = True,
+    config: dict, methods: list[MethodSpec], fallback: str | None, adhoc: bool = False
 ) -> ExperimentContext:
     """The experiment context for these methods and fallback policy (None
     when no fallback runs), loading the lookup table and the embedding store
-    only when a method or the fallback uses them, and the test split unless
-    ``test_split`` is false (ad-hoc text needs only the train split)."""
+    only when a method or the fallback uses them.  For ad-hoc text it loads
+    neither the test split nor the store, and refuses a method that would
+    rank the text's neighbours before any backend request."""
+    space = _space(config)
     marginsel = [m for m in methods if m.name == "marginsel"]
-    need_store = (
-        any(m.name == "knn" for m in methods)
-        or any(m.alpha < 1.0 for m in marginsel)
-        or (bool(marginsel) and fallback == "knn")
-    )
+    ranks = any(m.name == "knn" for m in methods) or any(m.alpha < 1.0 for m in marginsel)
+    if adhoc and ranks:
+        raise ConfigError(ADHOC_KNN)
+    need_store = ranks or (bool(marginsel) and fallback == "knn" and not adhoc)
     candidate_template, final_template = _templates(config)
     backend = _backend(config, space)
-    if test_split:
-        train, test = _datasets(config, space)
-    else:
-        train, test = _train_dataset(config, space), Dataset(space, ())
+    train, test = _datasets(config, space, test_split=not adhoc)
     return ExperimentContext(
         space=space,
         train=train,
@@ -418,25 +411,11 @@ def _parse_methods(raw: list) -> list[MethodSpec]:
     return methods
 
 
-def _run_config(config: dict, methods: list[MethodSpec]) -> RunConfig:
-    e = config["eval"]
-    return RunConfig(
-        methods=methods,
-        shots=e["shots"],
-        seeds=e["seeds"],
-        fallback=e["fallback"],
-        average=e["average"],
-        baseline=e["baseline"],
-        out_dir=e["out_dir"],
-    )
-
-
 def cmd_eval(config: dict, args) -> int:
-    space = _space(config)
     methods = _parse_methods(config["eval"]["methods"])
-    ctx = _context(config, space, methods, config["eval"]["fallback"])
+    ctx = _context(config, methods, config["eval"]["fallback"])
     with _closing(ctx.backend):
-        report = run_experiment(ctx, _run_config(config, methods))
+        report = run_experiment(ctx, RunConfig(**{**config["eval"], "methods": methods}))
     for row in report.summary:
         marker = " *" if row.get("significant_vs_baseline") else ""
         print(
@@ -457,12 +436,11 @@ def _finish(ctx: ExperimentContext, failed_cells: list[dict]) -> int:
 
 
 def cmd_sweep(config: dict, args) -> int:
-    space = _space(config)
     alphas = config["sweep"]["alphas"]
     methods = [MethodSpec("marginsel", alpha=a) for a in alphas]
-    ctx = _context(config, space, methods, config["eval"]["fallback"])
+    ctx = _context(config, methods, config["eval"]["fallback"])
     with _closing(ctx.backend):
-        rows = alpha_sweep(ctx, _run_config(config, methods), alphas)
+        rows = alpha_sweep(ctx, RunConfig(**{**config["eval"], "methods": methods}), alphas)
     for row in rows:
         mean = row["mean_macro_f1"]
         shown = "error" if mean is None else f"{mean:.4f}"
@@ -471,15 +449,18 @@ def cmd_sweep(config: dict, args) -> int:
 
 
 def cmd_predict(config: dict, args) -> int:
-    space = _space(config)
     method_name = args.method or "marginsel"
     alpha, shots, seed = _selection_args(config, args)
     method = MethodSpec(method_name, alpha if method_name == "marginsel" else None)
     fallback = config["eval"]["fallback"]
-    ctx = _context(config, space, [method], fallback)
-    example, adhoc = _test_input(args, ctx.test)
+    adhoc = args.test_text is not None
+    ctx = _context(config, [method], fallback, adhoc)
+    example = _test_input(args, ctx.test)
     with _closing(ctx.backend):
-        _, record = predict_one(ctx, method, shots, example, seed, fallback)
+        try:
+            _, record = predict_one(ctx, method, shots, example, seed, fallback)
+        except NoEmbeddingStore:  # the knn fallback fired on ad-hoc text
+            raise ConfigError(ADHOC_KNN) from None
     if adhoc:
         record.pop("gold")
     print(json.dumps(record, indent=2, sort_keys=True))
@@ -550,13 +531,9 @@ def cmd_analyze(config: dict, args) -> int:
 
 
 def cmd_theory_check(config: dict, args) -> int:
-    t = config["theory"]
-    report = theory.run_theory_checks(
-        seed=t["seed"],
-        identity_instances=t["identity_instances"],
-        margin_instances=t["margin_instances"],
-    )
-    out_path = Path(t["out_path"])
+    checks = dict(config["theory"])
+    out_path = Path(checks.pop("out_path"))
+    report = theory.run_theory_checks(**checks)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_json(out_path, report)
     print(f"decomposition max error: {report['decomposition']['max_abs_error']:.3e}")

@@ -90,7 +90,6 @@ def load_dataset(path: str | Path, space: LabelSpace) -> Dataset:
     UnknownLabel (with the offending line number) or DuplicateId.
     """
     examples: list[Example] = []
-    seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -108,9 +107,6 @@ def load_dataset(path: str | Path, space: LabelSpace) -> Dataset:
                     raise ParseError(line_no, f"field {key!r} is not a string")
             if record["label"] not in space:
                 raise UnknownLabel(record["label"], line_no=line_no)
-            if record["id"] in seen:
-                raise DuplicateId(record["id"])
-            seen.add(record["id"])
             examples.append(
                 Example(
                     id=record["id"],

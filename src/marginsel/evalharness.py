@@ -71,30 +71,27 @@ class EmptyInput(MarginSelError):
     pass
 
 
-def macro_f1(
-    pairs: Sequence[tuple[str, str]], space: LabelSpace, average: str = "macro"
-) -> float:
+class NoEmbeddingStore(MarginSelError):
+    """kNN needs the test input's ranking, and the context holds no store."""
+
+
+def macro_f1(pairs: Sequence[tuple[str, str]], space: LabelSpace) -> float:
     """Mean per-class F1 over every class of the space.
 
     A class scores 2TP/(2TP+FP+FN), or 0 when that denominator is 0.
     Predictions outside the space (including the reserved INVALID token)
     count as wrong for every class: a false negative for the gold class, a
-    false positive for none.  average='weighted' weights classes by gold
-    support instead of uniformly.
+    false positive for none.
     """
     if not pairs:
         raise EmptyInput("no (gold, predicted) pairs to score")
-    if average not in ("macro", "weighted"):
-        raise ValueError(f"unknown average {average!r}")
     tp: dict[str, int] = {c: 0 for c in space.labels}
     fp: dict[str, int] = {c: 0 for c in space.labels}
     fn: dict[str, int] = {c: 0 for c in space.labels}
-    support: dict[str, int] = {c: 0 for c in space.labels}
     for gold, predicted in pairs:
         gold = canonical_label(gold)
         if gold not in tp:
             raise MarginSelError(f"gold label {gold!r} outside the label space")
-        support[gold] += 1
         pred = canonical_label(predicted)
         if pred == gold:
             tp[gold] += 1
@@ -106,10 +103,7 @@ def macro_f1(
     for c in space.labels:
         denom = 2 * tp[c] + fp[c] + fn[c]
         scores[c] = 2 * tp[c] / denom if denom else 0.0
-    if average == "macro":
-        return sum(scores.values()) / len(space)
-    total = sum(support.values())
-    return sum(scores[c] * support[c] for c in space.labels) / total
+    return sum(scores.values()) / len(space)
 
 
 @dataclass(frozen=True)
@@ -135,7 +129,6 @@ class RunConfig:
     shots: list[int] = field(default_factory=lambda: [2, 4, 6, 8, 10])
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
     fallback: str = FALLBACK_KNN
-    average: str = "macro"
     baseline: str = RANDOM
     out_dir: str | Path | None = None
 
@@ -164,11 +157,10 @@ class ExperimentContext:
     lookup: LookupTable | None = None
     store: EmbeddingStore | None = None
     max_in_flight: int = 4
-    rho: LabelFrequency | None = None  # derived from train when not given
+    rho: LabelFrequency = field(init=False)  # label_frequency of train
 
     def __post_init__(self):
-        if self.rho is None:
-            self.rho = label_frequency(self.train)
+        self.rho = label_frequency(self.train)
         if self.lookup is not None:
             check_lookup(self.lookup, self.train)
 
@@ -203,7 +195,7 @@ def _ranking(
     ranking = rankings.get(test.id)
     if ranking is None:
         if ctx.store is None:
-            raise MarginSelError(f"{needed_by} needs an embedding store")
+            raise NoEmbeddingStore(f"{needed_by} needs an embedding store")
         ranking = rankings[test.id] = rank(ctx.store, test.id, ctx.train.ids(), knn_retrieve)
     return ranking
 
@@ -223,15 +215,6 @@ def _random_demos(
     rng = random.Random(derive_seed(seed, tag, test.id))
     picked = rng.sample(ctx.train.examples, min(shots, len(ctx.train)))
     return [(ex, "random") for ex in picked]
-
-
-def _fallback_demos(
-    ctx: ExperimentContext, policy: str, shots: int, test: Example, seed: int,
-    rankings: dict[str, Ranking],
-) -> list[tuple[Example, str]]:
-    if policy == FALLBACK_KNN:
-        return _knn_demos(ctx, "knn fallback", shots, test, rankings)
-    return _random_demos(ctx, "fallback", shots, test, seed)
 
 
 def marginsel_demos(
@@ -279,7 +262,9 @@ def _choose_demos(
     try:
         demo_set = marginsel_demos(ctx, method.alpha, shots, test, seed, step1, rankings)
     except EmptySelection:
-        return _fallback_demos(ctx, fallback_policy, shots, test, seed, rankings), step1, True
+        if fallback_policy == FALLBACK_KNN:
+            return _knn_demos(ctx, "knn fallback", shots, test, rankings), step1, True
+        return _random_demos(ctx, "fallback", shots, test, seed), step1, True
     return [(e.example, e.source) for e in demo_set], step1, False
 
 
@@ -332,16 +317,24 @@ def _cell_key(record: dict) -> tuple:
 
 def load_records(path: Path) -> dict[tuple, dict[str, dict]]:
     """A run directory's ``records.jsonl`` as {(method, shot, seed): {id:
-    record}}, in file order; empty when the file does not exist."""
+    record}}, in file order; empty when the file does not exist.  A last
+    line with no newline that does not parse is the torn tail of an
+    interrupted append and is skipped; any other bad line raises."""
     cells: dict[tuple, dict[str, dict]] = {}
     if not path.exists():
         return cells
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
+    *lines, tail = path.read_text(encoding="utf-8").split("\n")
+    for line_no, line in enumerate([*lines, tail], start=1):
+        if not line.strip():
+            continue
+        try:
             record = json.loads(line)
-            cells.setdefault(_cell_key(record), {})[record["id"]] = record
+            key, example_id = _cell_key(record), record["id"]
+        except (json.JSONDecodeError, KeyError, TypeError):
+            if line_no <= len(lines):
+                raise MarginSelError(f"{path}, line {line_no}: not a run record") from None
+            continue
+        cells.setdefault(key, {})[example_id] = record
     return cells
 
 
@@ -362,6 +355,10 @@ def run_experiment(ctx: ExperimentContext, cfg: RunConfig) -> RunReport:
         )
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
+    if records_path and records_path.exists():
+        # cut a torn last line, so that the next append starts a line of its own
+        with open(records_path, "rb+") as fh:
+            fh.truncate(fh.read().rfind(b"\n") + 1)
 
     step1: dict[str, CandidateSet] = {}  # test id -> step-1 candidate set
     rankings: dict[str, Ranking] = {}  # test id -> neighbour ranking over train
@@ -403,7 +400,7 @@ def run_experiment(ctx: ExperimentContext, cfg: RunConfig) -> RunReport:
                     cell_records = list(cached.values()) + list(fresh)
                     cell_records.sort(key=lambda r: test_order[r["id"]])
                     pairs = [(r["gold"], r["predicted"]) for r in cell_records]
-                    cell["macro_f1"] = macro_f1(pairs, ctx.space, cfg.average)
+                    cell["macro_f1"] = macro_f1(pairs, ctx.space)
                     all_records.extend(cell_records)
                 except MarginSelError as exc:
                     log.error("cell %s failed: %s", key, exc)
@@ -439,12 +436,15 @@ def _summarize(cells: list[dict], cfg: RunConfig) -> list[dict]:
                 (scores[s], base[s]) for s in sorted(scores) if s in base
             ]
             if len(paired) > 1:
-                a = [x for x, _ in paired]
-                b = [y for _, y in paired]
-                _, pvalue = scipy_stats.ttest_rel(a, b)
-                significant = bool(pvalue < 0.05) if pvalue == pvalue else False
-                row["p_vs_baseline"] = None if pvalue != pvalue else float(pvalue)
-                row["significant_vs_baseline"] = significant
+                # Constant paired differences have no variance to test, and
+                # ttest_rel on differences equal up to rounding reports a
+                # spurious p near 0 with a precision-loss warning.
+                diffs = [x - y for x, y in paired]
+                pvalue = None
+                if max(diffs) - min(diffs) > 1e-12:
+                    pvalue = float(scipy_stats.ttest_rel(*zip(*paired)).pvalue)
+                row["p_vs_baseline"] = pvalue
+                row["significant_vs_baseline"] = pvalue is not None and pvalue < 0.05
         summary.append(row)
     return summary
 

@@ -78,9 +78,10 @@ class Pool(tuple):
         return pool
 
 
-class LookupTable(Pool):
-    """A lookup table indexed once: ``pools`` maps each candidate set to the
-    pool of rows that carry it, and ``examples`` maps ids to examples."""
+class LookupTable(tuple):
+    """Lookup entries in order, indexed once: ``pools`` maps each candidate
+    set to the pool of rows that carry it, and ``examples`` maps ids to
+    examples."""
 
     def __new__(cls, entries: Sequence[LookupEntry] = ()):
         table = super().__new__(cls, entries)
@@ -89,7 +90,6 @@ class LookupTable(Pool):
             groups.setdefault(entry.candidates, []).append(entry)
         table.pools = {candidates: Pool(rows) for candidates, rows in groups.items()}
         table.examples = {e.example.id: e.example for e in table}
-        table.split = None  # the train examples check_lookup last accepted
         return table
 
 
@@ -100,13 +100,9 @@ class StaleLookup(MarginSelError):
 def check_lookup(table: LookupTable, train: Dataset) -> None:
     """Refuse a lookup table built from another split: a test input could
     pick itself as a demonstration, and kNN, which ranks the train split,
-    could pick an id the table does not hold.  A table remembers the split
-    it last passed with, so checking it again against that split is free."""
-    if table.split is train.examples:
-        return
+    could pick an id the table does not hold."""
     if tuple(e.example for e in table) != train.examples:
         raise StaleLookup("the lookup table does not hold the train split's examples in order")
-    table.split = train.examples
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 from marginsel import cli
@@ -438,3 +439,72 @@ def test_sweep_reports_failed_cells(tmp_path, capsys, monkeypatch):
     assert all("shot=3" in line and "503" in line for line in failed)
     report = json.loads((tmp_path / "runs" / "sweep" / "report.json").read_text())
     assert sum("error" in c for c in report["cells"]) == 4
+
+
+class NoRequests:
+    model_name = "none"
+    temperature = 0.0
+
+    def complete(self, system, user):
+        raise AssertionError("no backend request expected")
+
+
+def test_adhoc_text_refuses_knn_before_any_request(tmp_path, capsys, monkeypatch):
+    # Ad-hoc text gets the id "adhoc", which no embedding file holds.
+    config_path = make_workspace(tmp_path)
+    main(["--config", str(config_path), "assign"])
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_backend", lambda config, space: NoRequests())
+    text = ["--test-text", "sigone fresh thing"]
+    for args in (["select", *text, "--alpha", "0.5"], ["predict", *text, "--alpha", "0"],
+                 ["predict", *text, "--method", "knn"]):
+        assert main(["--config", str(config_path), *args]) == 2, args
+        err = capsys.readouterr().err
+        assert "ad-hoc text" in err and "--test-id" in err
+
+
+def test_adhoc_text_never_loads_embeddings(tmp_path, capsys):
+    config_path = make_workspace(tmp_path)
+    main(["--config", str(config_path), "assign"])
+    capsys.readouterr()
+    for embeddings in ("null", json.dumps(str(tmp_path / "missing.jsonl"))):
+        predict = ["--config", str(config_path), "--set", f"embeddings.path={embeddings}",
+                   "--set", 'eval.fallback="knn"', "predict", "--alpha", "1"]
+        # a hard match needs no kNN
+        assert main([*predict, "--test-text", "sigone fresh thing"]) == 0
+        assert json.loads(capsys.readouterr().out)["demo_sources"] == ["hard"] * 4
+        # no hard match: the knn fallback fires and cannot rank the text
+        assert main([*predict, "--test-text", "plain words"]) == 2
+        err = capsys.readouterr().err
+        assert "ad-hoc text" in err and "--test-id" in err
+
+
+def test_eval_names_a_bad_records_line(tmp_path, capsys):
+    config_path = make_workspace(tmp_path)
+    main(["--config", str(config_path), "assign"])
+    assert main(["--config", str(config_path), "eval"]) == 0
+    records = tmp_path / "runs" / "records.jsonl"
+    lines = records.read_text().splitlines(keepends=True)
+    records.write_text(lines[0] + "{not a record\n" + "".join(lines[2:]))
+    capsys.readouterr()
+    assert main(["--config", str(config_path), "eval"]) == 2
+    assert f"{records}, line 2:" in capsys.readouterr().err
+
+
+def test_readme_config_reference_matches_load_config(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config reference")[1].split("```jsonc")[1].split("```")[0]
+    documented = json.loads(re.sub(r"\s//.*", "", block))
+    config_path = tmp_path / "documented.json"
+    config_path.write_text(json.dumps(documented))
+    cli.load_config(str(config_path), [])  # raises on a key it does not accept
+
+    def leaves(config, path=()):
+        for key, value in config.items():
+            here = path + (key,)
+            if isinstance(value, dict) and here not in cli._OPAQUE_KEYS:
+                yield from leaves(value, here)
+            else:
+                yield here
+
+    assert set(leaves(documented)) == set(leaves(cli.DEFAULT_CONFIG))

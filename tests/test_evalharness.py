@@ -1,9 +1,11 @@
 import json
 import random
+import warnings
 from collections import Counter
 from dataclasses import replace
 
 import pytest
+from scipy import stats as scipy_stats
 
 from marginsel.core import LabelSpace, MarginSelError
 from marginsel.evalharness import (
@@ -12,8 +14,10 @@ from marginsel.evalharness import (
     ExperimentContext,
     MethodSpec,
     RunConfig,
+    _summarize,
     alpha_sweep,
     derive_seed,
+    load_records,
     macro_f1,
     predict_one,
     run_experiment,
@@ -57,10 +61,9 @@ def test_macro_f1_empty_input():
         macro_f1([], AB)
 
 
-def _oracle_f1(pairs, labels, average):
+def _oracle_f1(pairs, labels):
     # Independent confusion-matrix computation.
     scores = {}
-    support = {}
     for c in labels:
         tp = sum(1 for g, p in pairs if g == c and p == c)
         fp = sum(1 for g, p in pairs if g != c and p == c)
@@ -70,11 +73,7 @@ def _oracle_f1(pairs, labels, average):
         scores[c] = (
             2 * precision * recall / (precision + recall) if precision + recall else 0.0
         )
-        support[c] = sum(1 for g, _ in pairs if g == c)
-    if average == "macro":
-        return sum(scores.values()) / len(labels)
-    total = sum(support.values())
-    return sum(scores[c] * support[c] for c in labels) / total
+    return sum(scores.values()) / len(labels)
 
 
 def test_macro_f1_matches_confusion_matrix_oracle():
@@ -87,11 +86,10 @@ def test_macro_f1_matches_confusion_matrix_oracle():
             gold = rng.choice(space.labels)
             predicted = rng.choice(list(space.labels) + [INVALID])
             pairs.append((gold, predicted))
-        for average in ("macro", "weighted"):
-            got = macro_f1(pairs, space, average)
-            want = _oracle_f1(pairs, space.labels, average)
-            assert abs(got - want) < 1e-12
-            assert 0.0 <= got <= 1.0
+        got = macro_f1(pairs, space)
+        want = _oracle_f1(pairs, space.labels)
+        assert abs(got - want) < 1e-12
+        assert 0.0 <= got <= 1.0
 
 
 def test_macro_f1_rejects_unknown_gold():
@@ -262,8 +260,19 @@ def test_run_experiment_grid_shape(tmp_path):
     assert len(report.records) == 6 * len(ctx.test)
     for row in report.summary:
         assert 0.0 <= row["mean_macro_f1"] <= 1.0
-    marginsel_rows = [r for r in report.summary if r["method"].startswith("marginsel")]
-    assert "significant_vs_baseline" in marginsel_rows[0] or True  # field optional on nan
+    score = {(c["method"], c["shot"], c["seed"]): c["macro_f1"] for c in report.cells}
+    for row in report.summary:
+        if row["method"] == "random":
+            continue
+        a = [score[row["method"], row["shot"], s] for s in cfg.seeds]
+        b = [score["random", row["shot"], s] for s in cfg.seeds]
+        diffs = [x - y for x, y in zip(a, b)]
+        if max(diffs) - min(diffs) <= 1e-12:
+            assert row["p_vs_baseline"] is None
+        else:
+            assert row["p_vs_baseline"] == scipy_stats.ttest_rel(a, b).pvalue
+        p = row["p_vs_baseline"]
+        assert row["significant_vs_baseline"] is (p is not None and p < 0.05)
     assert (tmp_path / "run" / "report.json").exists()
     assert (tmp_path / "run" / "report.csv").exists()
     assert (tmp_path / "run" / "records.jsonl").exists()
@@ -314,6 +323,83 @@ def test_run_experiment_resume_completes_partial_cells(tmp_path):
     )
     assert (partial_dir / "records.jsonl").read_text().splitlines() == full_records
     assert resumed.cells[0]["macro_f1"] == full.cells[0]["macro_f1"]
+
+
+def test_constant_paired_differences_are_not_tested():
+    # Differences equal up to rounding: ttest_rel warned and reported p ~ 1e-31.
+    cfg = RunConfig(methods=[MethodSpec("random"), MethodSpec("knn")], seeds=[0, 1, 2])
+    cells = [
+        {"method": method, "shot": 2, "seed": seed, "macro_f1": score}
+        for method, scores in (("random", [0.5, 0.6, 0.7]), ("knn", [0.6, 0.7, 0.8]))
+        for seed, score in enumerate(scores)
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (row,) = [r for r in _summarize(cells, cfg) if r["method"] == "knn"]
+    assert row["p_vs_baseline"] is None
+    assert row["significant_vs_baseline"] is False
+
+
+class Interrupt(Exception):
+    """Stands in for an interrupt: no cell catches it, so the run stops."""
+
+
+class InterruptAfter:
+    """Passes ``limit`` requests through, then raises Interrupt."""
+
+    def __init__(self, backend, limit):
+        self.backend = backend
+        self.model_name = backend.model_name
+        self.temperature = backend.temperature
+        self.limit = limit
+
+    def complete(self, system, user):
+        if self.limit == 0:
+            raise Interrupt
+        self.limit -= 1
+        return self.backend.complete(system, user)
+
+
+def test_resume_after_a_torn_records_tail(tmp_path):
+    ctx = replace(planted_pipeline(), max_in_flight=1)
+
+    def cfg(out_dir):
+        return RunConfig(
+            methods=[MethodSpec("random"), MethodSpec("marginsel", alpha=1.0)],
+            shots=[2], seeds=[1, 2], fallback="random", out_dir=out_dir,
+        )
+
+    run_experiment(ctx, cfg(tmp_path / "whole"))
+    whole = (tmp_path / "whole" / "records.jsonl").read_bytes()
+    lines = whole.splitlines(keepends=True)
+    run_dir = tmp_path / "torn"
+    run_dir.mkdir()
+    # an append cut in the middle of the fifth record
+    (run_dir / "records.jsonl").write_bytes(b"".join(lines[:4]) + lines[4][:30])
+    assert len(load_records(run_dir / "records.jsonl")["marginsel(alpha=1)", 2, 1]) == 4
+
+    # Interrupted again once both random cells (9 requests each) are
+    # appended: they must start on a line of their own.
+    with pytest.raises(Interrupt):
+        run_experiment(replace(ctx, backend=InterruptAfter(ctx.backend, 18)), cfg(run_dir))
+    assert sum(len(cell) for cell in load_records(run_dir / "records.jsonl").values()) == 22
+    run_experiment(ctx, cfg(run_dir))
+    assert (run_dir / "records.jsonl").read_bytes() == whole
+
+
+def test_a_bad_record_line_names_the_file_and_line(tmp_path):
+    path = tmp_path / "records.jsonl"
+    good = json.dumps({"method": "random", "shot": 2, "seed": 1, "id": "x"})
+    for text, line_no in (
+        (f"{good}\n{{torn\n{good}\n", 2),
+        (f"{good}\n[1, 2]\n", 2),
+        (f'{good}\n{{"id": "y"}}\n', 2),
+    ):
+        path.write_text(text)
+        with pytest.raises(MarginSelError, match=f"records.jsonl, line {line_no}:"):
+            load_records(path)
+    path.write_text(f"{good}\n{good[:-1]}")  # no newline, does not parse: torn
+    assert list(load_records(path)) == [("random", 2, 1)]
 
 
 class Step1Counter:
