@@ -105,13 +105,13 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
                 try:
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise EmbeddingParseError(f"line {line_no}: invalid JSON: {exc.msg}")
+                    raise EmbeddingParseError(f"{path}, line {line_no}: invalid JSON: {exc.msg}")
                 if not isinstance(record, dict) or "id" not in record or "vector" not in record:
-                    raise EmbeddingParseError(f"line {line_no}: need 'id' and 'vector' fields")
+                    raise EmbeddingParseError(f"{path}, line {line_no}: need 'id' and 'vector'")
                 if not isinstance(record["vector"], list) or not all(
                     isinstance(x, (int, float)) for x in record["vector"]
                 ):
-                    raise EmbeddingParseError(f"line {line_no}: vector is not numeric")
+                    raise EmbeddingParseError(f"{path}, line {line_no}: vector is not numeric")
                 yield record["id"], record["vector"]
 
     return build_store(records())

@@ -4,20 +4,22 @@ endpoints and a deterministic keyword mock for tests and dry runs.
 Backends expose ``complete(system, user) -> (reply, attempts)``.  The HTTP
 backend posts the standard chat-completion JSON body to
 ``{base_url}/chat/completions`` and retries transport failures, 429 and
-5xx responses with exponential backoff, or after the reply's numeric
-Retry-After (capped by the timeout); other 4xx responses are never retried.
-Responses can be cached on disk keyed by hash(model, system, user,
-temperature), so a rerun of an already-completed stage makes zero backend
-calls.
+5xx responses after a fully jittered exponential backoff, or after the
+reply's numeric Retry-After (capped by the timeout); other 4xx responses are
+never retried.  Responses can be cached in one append-only file keyed by
+hash(model, system, user, temperature), so a rerun makes zero backend calls.
 """
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import hashlib
 import json
 import logging
 import math
 import os
+import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -92,7 +94,8 @@ def _retry_after(resp: requests.Response, cap: float) -> float | None:
 class HttpBackend:
     """Chat-completion client for any endpoint speaking the standard JSON
     protocol.  Temperature defaults to 0 for reproducibility.  ``calls``
-    counts completions asked for, from any thread."""
+    counts completions asked for, from any thread.  ``jitter`` draws each
+    retry's sleep, uniform in [0, backoff_base * 2**(retry - 1)]."""
 
     def __init__(self, config: BackendConfig):
         self.config = config
@@ -100,6 +103,7 @@ class HttpBackend:
         self.temperature = config.temperature
         self.calls = 0
         self._calls_lock = threading.Lock()
+        self.jitter = random.Random()
         self._session = requests.Session()
 
     def close(self) -> None:
@@ -131,7 +135,7 @@ class HttpBackend:
         while attempts <= cfg.max_retries:
             if attempts:
                 backoff = cfg.backoff_base * 2 ** (attempts - 1)
-                time.sleep(backoff if retry_after is None else retry_after)
+                time.sleep(self.jitter.uniform(0, backoff) if retry_after is None else retry_after)
             attempts += 1
             retry_after = None
             try:
@@ -268,62 +272,93 @@ class MockBackend:
 
 
 class CachedBackend:
-    """Disk cache around any backend.  One JSON file per request, named by
-    the sha256 of (model, system, user, temperature); writes are serialized
-    so concurrent requests cannot interleave.  An entry that cannot be read
-    or parsed counts as a miss and is rewritten."""
+    """Response cache around any backend: one append-only JSON-lines file,
+    ``cache_dir/responses.jsonl``, indexed in memory when the cache opens by
+    the sha256 of (model, system, user, temperature).  A miss first indexes
+    what other processes appended since, then appends one line under an
+    exclusive ``flock``.  A line that does not parse is skipped, so its
+    request is asked again.  No file stays open between calls."""
 
     def __init__(self, backend: Backend, cache_dir: str | Path):
         self.backend = backend
         self.model_name = backend.model_name
         self.temperature = backend.temperature
-        self.cache_dir = Path(cache_dir)
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
+        cache_dir = Path(cache_dir)
+        cache_dir.mkdir(parents=True, exist_ok=True)
+        self.path = cache_dir / "responses.jsonl"
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
+        self._replies: dict[bytes, str] = {}
+        self._indexed = 0  # bytes of the file read into _replies
+        _import_entry_files(cache_dir, self.path)
+        self._read_new()
 
-    def _key(self, system: str, user: str) -> Path:
-        digest = hashlib.sha256(
-            "\x1f".join(
-                [self.model_name, system, user, repr(self.temperature)]
-            ).encode("utf-8")
-        ).hexdigest()
-        return self.cache_dir / f"{digest}.json"
+    def _read_new(self) -> None:
+        """Index the complete lines past the indexed bytes.  A last line with
+        no newline is torn or still being written, and is left unread."""
+        with open(self.path, "a+b") as fh:  # created if missing
+            fh.seek(self._indexed)
+            for line in fh:
+                if not line.endswith(b"\n"):
+                    break
+                self._indexed += len(line)
+                try:
+                    entry = json.loads(line)
+                    if isinstance(entry["reply"], str):
+                        self._replies[_key(entry)] = entry["reply"]
+                except (ValueError, KeyError, TypeError) as exc:
+                    log.warning("%s: bad line before byte %d: %s", self.path, self._indexed, exc)
 
     def complete(self, system: str, user: str) -> tuple[str, int]:
-        path = self._key(system, user)
+        entry = dict(model=self.model_name, temperature=self.temperature, system=system, user=user)
+        key = _key(entry)
         with self._lock:
-            try:
-                reply = json.loads(path.read_text(encoding="utf-8"))["reply"]
-            except FileNotFoundError:
-                reply = None
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                log.warning("unreadable cache entry %s, asking again: %s", path.name, exc)
-                reply = None
-            if isinstance(reply, str):
+            if key not in self._replies:
+                self._read_new()
+            if key in self._replies:
                 self.hits += 1
-                return reply, 0
-        reply, attempts = self.backend.complete(system, user)
+                return self._replies[key], 0
+        entry["reply"], attempts = self.backend.complete(system, user)
+        line = json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n"
         with self._lock:
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(
-                json.dumps(
-                    {
-                        "model": self.model_name,
-                        "temperature": self.temperature,
-                        "system": system,
-                        "user": user,
-                        "reply": reply,
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                ),
-                encoding="utf-8",
-            )
-            tmp.replace(path)
+            start, end = _append(self.path, line.encode("utf-8"))
+            if start == self._indexed:  # nothing unread before this line
+                self._indexed = end
+            self._replies[key] = entry["reply"]
             self.misses += 1
-        return reply, attempts
+        return entry["reply"], attempts
+
+
+def _key(entry: dict) -> bytes:
+    fields = [entry["model"], entry["system"], entry["user"], repr(entry["temperature"])]
+    return hashlib.sha256("\x1f".join(fields).encode("utf-8")).digest()
+
+
+def _append(path: Path, data: bytes) -> tuple[int, int]:
+    """Append data under an exclusive flock, after a newline when the file
+    ends in a line a killed writer tore.  Returns the sizes before and after."""
+    with open(path, "a+b") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)  # released when the file closes
+        start = fh.seek(0, os.SEEK_END)
+        if start and os.pread(fh.fileno(), 1, start - 1) != b"\n":
+            data = b"\n" + data
+        fh.write(data)
+    return start, start + len(data)
+
+
+def _import_entry_files(cache_dir: Path, path: Path) -> None:
+    """Append the entries of the older layout, one ``<sha256>.json`` file per
+    request holding the bytes of one line, to ``path``; then delete them."""
+    files = sorted(cache_dir.glob("[0-9a-f]" * 64 + ".json"))
+    lines = []
+    for entry_file in files:
+        with contextlib.suppress(FileNotFoundError):  # another process imported it
+            lines.append(entry_file.read_bytes().replace(b"\n", b" ") + b"\n")
+    if lines:
+        _append(path, b"".join(lines))
+    for entry_file in files:
+        entry_file.unlink(missing_ok=True)
 
 
 def backend_calls(backend: Backend) -> int:

@@ -200,13 +200,18 @@ def save_lookup(entries: Sequence[LookupEntry], path: str | Path, space: LabelSp
 
 
 def load_lookup(path: str | Path, space: LabelSpace) -> LookupTable:
+    """The table ``save_lookup`` wrote; a bad line raises naming its file and line."""
+    entries = []
     with open(path, encoding="utf-8") as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
-    return LookupTable(
-        LookupEntry(Example(r["id"], r["text"], r["gold"]),
-                    candidate_set_from_labels(r["candidates"], space))
-        for r in records
-    )
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                if line.strip():
+                    r = json.loads(line)
+                    entries.append(LookupEntry(Example(r["id"], r["text"], r["gold"]),
+                                               candidate_set_from_labels(r["candidates"], space)))
+            except (ValueError, KeyError, TypeError, MarginSelError) as exc:
+                raise MarginSelError(f"{path}, line {line_no}: bad lookup entry: {exc}") from None
+    return LookupTable(entries)
 
 
 def match_hard(table: LookupTable, test_candidates: CandidateSet) -> Pool:

@@ -502,7 +502,7 @@ def test_criterion_9_pipeline_reproducibility(tmp_path, capsys):
     config_b = make_workspace(ws_b)
 
     first = _run_pipeline(config_a, capsys)
-    cache_files = sorted(p.name for p in (ws_a / "cache").glob("*.json"))
+    cache_bytes = (ws_a / "cache" / "responses.jsonl").read_bytes()
 
     # Rerun the same config: artifacts untouched, zero backend calls.
     before = _artifact_bytes(ws_a)
@@ -511,7 +511,7 @@ def test_criterion_9_pipeline_reproducibility(tmp_path, capsys):
     assert "backend calls: 0" in second["assign_stdout"]
     assert "backend calls: 0" in second["eval_stdout"]
     assert second["select_stdout"] == first["select_stdout"]
-    assert sorted(p.name for p in (ws_a / "cache").glob("*.json")) == cache_files
+    assert (ws_a / "cache" / "responses.jsonl").read_bytes() == cache_bytes
 
     # An identical config rooted elsewhere produces byte-identical artifacts.
     _run_pipeline(config_b, capsys)

@@ -491,6 +491,23 @@ def test_eval_names_a_bad_records_line(tmp_path, capsys):
     assert f"{records}, line 2:" in capsys.readouterr().err
 
 
+def test_a_bad_lookup_or_embeddings_line_names_the_file_and_line(tmp_path, capsys):
+    config_path = make_workspace(tmp_path)
+    main(["--config", str(config_path), "assign"])
+    select = ["--config", str(config_path), "select", "--test-id", "e12",
+              "--alpha", "0.5", "--shots", "4"]
+    for path in (tmp_path / "lookup.jsonl", tmp_path / "emb.jsonl"):
+        good = path.read_text()
+        lines = good.splitlines(keepends=True)
+        for bad in ('{"id" "e01"}\n', '{"id": "e01"}\n'):  # not JSON; fields missing
+            path.write_text(lines[0] + bad + "".join(lines[2:]))
+            capsys.readouterr()
+            assert main(select) == 2
+            assert f"{path}, line 2:" in capsys.readouterr().err
+        path.write_text(good)
+    assert main(select) == 0
+
+
 def test_readme_config_reference_matches_load_config(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("### Config reference")[1].split("```jsonc")[1].split("```")[0]

@@ -548,9 +548,9 @@ def test_corrupt_cache_entries_are_misses(tmp_path):
 
     ctx.backend = CachedBackend(model, tmp_path / "cache")
     run("first")
-    entries = sorted((tmp_path / "cache").glob("*.json"))
-    for path in entries:
-        path.write_bytes(path.read_bytes()[:20])
+    cache = tmp_path / "cache" / "responses.jsonl"
+    entries = cache.read_bytes().splitlines()
+    cache.write_bytes(b"".join(line[:20] + b"\n" for line in entries))
     ctx.backend = CachedBackend(model, tmp_path / "cache")
     run("second")
     for name in ("records.jsonl", "report.json", "report.csv"):
@@ -558,8 +558,10 @@ def test_corrupt_cache_entries_are_misses(tmp_path):
             tmp_path / "second" / name
         ).read_bytes()
     assert (ctx.backend.hits, ctx.backend.misses) == (0, len(entries))
-    for path in entries:
-        assert isinstance(json.loads(path.read_text(encoding="utf-8"))["reply"], str)
+    appended = cache.read_bytes().splitlines()[len(entries):]
+    assert len(appended) == len(entries)
+    for line in appended:
+        assert isinstance(json.loads(line)["reply"], str)
 
 
 def test_end_to_end_reproducibility(tmp_path):

@@ -1,9 +1,14 @@
 import gc
+import hashlib
 import json
+import os
+import random
+import subprocess
 import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 import requests
@@ -209,7 +214,7 @@ def test_http_retries_429_then_succeeds(server):
 
 def test_http_retry_after_replaces_the_backoff(server, monkeypatch):
     # A numeric Retry-After sets the sleep, capped by the timeout (5 s); a
-    # date or a missing header leaves the exponential backoff.
+    # date or a missing header leaves the jittered exponential backoff.
     import marginsel.llm_client as llm_client
 
     slept = []
@@ -223,10 +228,31 @@ def test_http_retry_after_replaces_the_backoff(server, monkeypatch):
         (200, {"choices": [{"message": {"content": "recovered"}}]}),
     ]
     backend = HttpBackend(_config(base_url, backoff_base=0.25, max_retries=4))
+    backend.jitter.seed(5)
     reply, attempts = backend.complete("s", "u")
     assert reply == "recovered"
     assert attempts == 5
-    assert slept == [2.0, 5.0, 1.0, 2.0]
+    replay = random.Random(5)
+    assert slept == [2.0, 5.0, replay.uniform(0, 1.0), replay.uniform(0, 2.0)]
+
+
+def test_http_backoff_is_fully_jittered(server, monkeypatch):
+    # Retry n sleeps uniform(0, backoff_base * 2**(n-1)), drawn from the
+    # backend's own generator, so clients that fail together do not retry
+    # together.
+    import marginsel.llm_client as llm_client
+
+    slept = []
+    monkeypatch.setattr(llm_client.time, "sleep", slept.append)
+    base_url, handler = server
+    handler.script = [(500, {})] * 4 + [(200, {"choices": [{"message": {"content": "ok"}}]})]
+    config = _config(base_url, backoff_base=0.5, max_retries=4)
+    with HttpBackend(config) as backend, HttpBackend(config) as other:
+        backend.jitter.seed(11)
+        assert backend.complete("s", "u") == ("ok", 5)
+        assert other.jitter.random() != backend.jitter.random()
+    replay = random.Random(11)
+    assert slept == [replay.uniform(0, 0.5 * 2**n) for n in range(4)]
 
 
 def test_http_never_retries_4xx(server):
@@ -311,10 +337,10 @@ def test_cache_key_distinguishes_inputs(tmp_path):
     backend.complete("s", "x one")
     backend.complete("s", "x two")
     assert backend.misses == 2
-    files = list(tmp_path.glob("*.json"))
-    assert len(files) == 2
-    record = json.loads(files[0].read_text())
-    assert set(record) == {"model", "temperature", "system", "user", "reply"}
+    lines = (tmp_path / "responses.jsonl").read_text().splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        assert set(json.loads(line)) == {"model", "temperature", "system", "user", "reply"}
 
 
 def test_cache_survives_backend_swap(tmp_path, server):
@@ -340,6 +366,121 @@ def test_cache_counters_lose_no_update_under_threads(tmp_path):
         sys.setswitchinterval(interval)
     assert backend.hits + backend.misses == len(prompts)
     assert backend.misses >= 20
+
+
+_WRITER = """
+import sys, time
+from marginsel.core import LabelSpace
+from marginsel.llm_client import CachedBackend, MockBackend, MockRule, map_concurrently
+space = LabelSpace(["very negative", "negative", "neutral", "positive", "very positive"])
+rule = MockRule({"x": frozenset({"positive"})}, default="neutral")
+cache = CachedBackend(MockBackend(rule, space), sys.argv[1])
+first, count, start_at = int(sys.argv[2]), int(sys.argv[3]), float(sys.argv[4])
+time.sleep(max(0.0, start_at - time.time()))
+map_concurrently(lambda i: cache.complete("s", f"x {i} " + "pad " * 1000 * (i % 4)),
+                 range(first, first + count), 4)
+print(cache.misses)
+"""
+
+
+def _write_from_processes(cache_dir, firsts, count):
+    """Run one writer process per entry of firsts, each completing prompts
+    first .. first + count - 1 through its own cache over cache_dir at four
+    in flight, all starting at once.  Returns each process's misses."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    start_at = str(time.time() + 2.0)  # after every process has imported
+    procs = [
+        subprocess.Popen([sys.executable, "-c", _WRITER, str(cache_dir), str(first),
+                          str(count), start_at], stdout=subprocess.PIPE, env=env)
+        for first in firsts
+    ]
+    outs = [proc.communicate(timeout=120)[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0] * len(procs)
+    return [int(out) for out in outs]
+
+
+def _prompt(i):
+    return f"x {i} " + "pad " * 1000 * (i % 4)
+
+
+def test_two_processes_share_one_cache(tmp_path):
+    # Overlapping prompts, some lines longer than a write buffer: every line
+    # a process appended is there whole, and a fresh cache answers them all.
+    misses = _write_from_processes(tmp_path, [0, 150], 300)
+    lines = (tmp_path / "responses.jsonl").read_bytes().split(b"\n")
+    assert lines.pop() == b""
+    assert len(lines) == sum(misses) >= 450
+    users = set()
+    for line in lines:
+        entry = json.loads(line)
+        assert set(entry) == {"model", "temperature", "system", "user", "reply"}
+        users.add(entry["user"])
+    assert users == {_prompt(i) for i in range(450)}
+    inner = MockBackend(MockRule({"x": frozenset({"positive"})}, default="neutral"), SST5)
+    fresh = CachedBackend(inner, tmp_path)
+    for i in range(450):
+        assert fresh.complete("s", _prompt(i)) == ("<label>positive</label>", 0)
+    assert inner.calls == 0
+
+
+def test_a_miss_picks_up_what_another_process_appended(tmp_path):
+    inner = MockBackend(MockRule({"x": frozenset({"positive"})}, default="neutral"), SST5)
+    cache = CachedBackend(inner, tmp_path)  # indexed while the file is empty
+    assert _write_from_processes(tmp_path, [0], 5) == [5]
+    assert len((tmp_path / "responses.jsonl").read_bytes().splitlines()) == 5
+    for i in range(5):
+        assert cache.complete("s", _prompt(i)) == ("<label>positive</label>", 0)
+    assert (inner.calls, cache.hits, cache.misses) == (0, 5, 0)
+    # A line another writer has not finished when the cache reads it is read
+    # once it is whole.
+    late = json.dumps({"model": inner.model_name, "temperature": 0.0, "system": "s",
+                       "user": "x late", "reply": "<label>neutral</label>"}).encode() + b"\n"
+    with open(tmp_path / "responses.jsonl", "ab") as fh:
+        fh.write(late[:40])
+    cache = CachedBackend(inner, tmp_path)
+    with open(tmp_path / "responses.jsonl", "ab") as fh:
+        fh.write(late[40:])
+    assert cache.complete("s", "x late") == ("<label>neutral</label>", 0)
+    assert inner.calls == 0
+
+
+def test_a_torn_last_line_is_skipped(tmp_path):
+    inner = MockBackend(MockRule({"x": frozenset({"positive"})}, default="neutral"), SST5)
+    cache = CachedBackend(inner, tmp_path)
+    cache.complete("s", "x kept")
+    cache.complete("s", "x torn")
+    path = tmp_path / "responses.jsonl"
+    path.write_bytes(path.read_bytes()[:-30])  # its writer was killed mid-line
+    cache = CachedBackend(inner, tmp_path)
+    assert cache.complete("s", "x kept")[1] == 0
+    assert cache.complete("s", "x torn")[1] == 1
+    assert cache.complete("s", "x new")[1] == 1
+    lines = path.read_bytes().split(b"\n")
+    assert len(lines) == 5 and lines[-1] == b""
+    assert [json.loads(line)["user"] for line in lines[2:4]] == ["x torn", "x new"]
+    calls = inner.calls
+    fresh = CachedBackend(inner, tmp_path)
+    for user in ("x kept", "x torn", "x new"):
+        assert fresh.complete("s", user)[1] == 0
+    assert inner.calls == calls
+
+
+def test_an_old_cache_directory_is_imported(tmp_path):
+    # The older layout: one <sha256>.json file per request.
+    inner = MockBackend(MockRule({"x": frozenset({"positive"})}, default="neutral"), SST5)
+    entry = {"model": inner.model_name, "temperature": 0.0, "system": "s",
+             "user": "x old", "reply": "<label>very positive</label>"}
+    digest = hashlib.sha256("\x1f".join([inner.model_name, "s", "x old", "0.0"]).encode()).hexdigest()
+    old = tmp_path / f"{digest}.json"
+    old.write_text(json.dumps(entry, sort_keys=True))
+    (tmp_path / "notes.json").write_text("{}")  # not a cache entry: kept
+    cache = CachedBackend(inner, tmp_path)
+    assert cache.complete("s", "x old") == ("<label>very positive</label>", 0)
+    assert inner.calls == 0
+    assert not old.exists() and (tmp_path / "notes.json").exists()
+    lines = (tmp_path / "responses.jsonl").read_text().splitlines()
+    assert [json.loads(line) for line in lines] == [entry]
 
 
 @pytest.mark.filterwarnings(
