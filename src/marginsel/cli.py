@@ -343,7 +343,7 @@ def cmd_select(config: dict, args) -> int:
     ctx = _context(config, [MethodSpec("marginsel", alpha)], None, args.test_text is not None)
     test = _test_input(args, ctx.test)
     with _closing(ctx.backend):
-        step1 = assign_candidates(ctx.backend, ctx.candidate_template, test.text, ctx.space)
+        [step1] = assign_candidates(ctx.backend, ctx.candidate_template, [test.text], ctx.space)
     result = {"test_id": test.id, "candidate_key": candidate_key(step1)}
     try:
         demos = marginsel_demos(ctx, alpha, shots, test, seed, step1, {})

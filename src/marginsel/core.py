@@ -26,11 +26,11 @@ class MarginSelError(Exception):
 class UnknownLabel(MarginSelError):
     """A label name is not a member of the label space."""
 
-    def __init__(self, name: str, line_no: int | None = None):
+    def __init__(self, name: str, path: str | Path | None = None, line_no: int | None = None):
         self.name = name
         self.line_no = line_no
-        where = f" (line {line_no})" if line_no is not None else ""
-        super().__init__(f"unknown label {name!r}{where}")
+        where = f"{path}, line {line_no}: " if line_no is not None else ""
+        super().__init__(f"{where}unknown label {name!r}")
 
 
 def round_half_up(x: float) -> int:

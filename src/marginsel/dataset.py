@@ -16,9 +16,9 @@ from .core import Example, LabelSpace, MarginSelError, UnknownLabel, canonical_l
 
 
 class ParseError(MarginSelError):
-    def __init__(self, line_no: int, reason: str):
+    def __init__(self, path: str | Path, line_no: int, reason: str):
         self.line_no = line_no
-        super().__init__(f"line {line_no}: {reason}")
+        super().__init__(f"{path}, line {line_no}: {reason}")
 
 
 class DuplicateId(MarginSelError):
@@ -86,8 +86,8 @@ class LabelFrequency:
 def load_dataset(path: str | Path, space: LabelSpace) -> Dataset:
     """Load a JSON-lines dataset, validating every record against the space.
 
-    Line order is preserved.  Blank lines are skipped.  Raises ParseError,
-    UnknownLabel (with the offending line number) or DuplicateId.
+    Line order is preserved.  Blank lines are skipped.  Raises ParseError or
+    UnknownLabel, each naming the file and the line, or DuplicateId.
     """
     examples: list[Example] = []
     with open(path, encoding="utf-8") as fh:
@@ -97,16 +97,16 @@ def load_dataset(path: str | Path, space: LabelSpace) -> Dataset:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(line_no, f"invalid JSON: {exc.msg}") from None
+                raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from None
             if not isinstance(record, dict):
-                raise ParseError(line_no, "record is not an object")
+                raise ParseError(path, line_no, "record is not an object")
             for key in ("id", "text", "label"):
                 if key not in record:
-                    raise ParseError(line_no, f"missing field {key!r}")
+                    raise ParseError(path, line_no, f"missing field {key!r}")
                 if not isinstance(record[key], str):
-                    raise ParseError(line_no, f"field {key!r} is not a string")
+                    raise ParseError(path, line_no, f"field {key!r} is not a string")
             if record["label"] not in space:
-                raise UnknownLabel(record["label"], line_no=line_no)
+                raise UnknownLabel(record["label"], path, line_no)
             examples.append(
                 Example(
                     id=record["id"],

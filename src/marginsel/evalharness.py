@@ -12,10 +12,12 @@ t-test marker against the baseline method.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import random
 import statistics
+from concurrent.futures import Executor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -34,14 +36,14 @@ from .core import (
 )
 from .dataset import Dataset, LabelFrequency, label_frequency
 from .knn import EmbeddingStore, Ranking, knn_retrieve, rank
-from .llm_client import Backend, map_concurrently
+from .llm_client import Backend, check_in_flight, complete_all, request_pool
 from .prompting import (
     Ambiguous,
     EmptySet,
     NoTag,
     PromptTemplate,
     parse_label_tags,
-    render_candidate_prompt,  # not called here; bench/tracing.py spans this binding
+    render_candidate_prompt,  # step 1 renders in selection; bench/tracing.py spans this binding
     render_final_prompt,
 )
 from .selection import (
@@ -50,7 +52,6 @@ from .selection import (
     LookupTable,
     SelectionConfig,
     assign_candidates,
-    build_lookup,
     check_lookup,
     select_demos,
 )
@@ -160,6 +161,7 @@ class ExperimentContext:
     rho: LabelFrequency = field(init=False)  # label_frequency of train
 
     def __post_init__(self):
+        check_in_flight(self.max_in_flight)
         self.rho = label_frequency(self.train)
         if self.lookup is not None:
             check_lookup(self.lookup, self.train)
@@ -189,9 +191,8 @@ def _ranking(
     ctx: ExperimentContext, needed_by: str, test: Example, rankings: dict[str, Ranking]
 ) -> Ranking:
     """The test input's neighbour ranking over the train split: ranked the
-    first time a run needs it, then read from the run's ``rankings``.  A
-    duplicate fill from another thread is harmless, since ranking is
-    deterministic."""
+    first time a run needs it, then read from the run's ``rankings``.  Only
+    the calling thread selects demos, so each test input is ranked once."""
     ranking = rankings.get(test.id)
     if ranking is None:
         if ctx.store is None:
@@ -249,23 +250,67 @@ def _choose_demos(
     fallback_policy: str,
     step1: CandidateSet | None,
     rankings: dict[str, Ranking],
-) -> tuple[list[tuple[Example, str]], CandidateSet | None, bool]:
-    """Demos as (example, source) pairs, the test's assignment-step candidate
-    set (marginsel only; assigned here unless given), and whether the fallback fired."""
+) -> tuple[list[tuple[Example, str]], bool]:
+    """Demos as (example, source) pairs, and whether the fallback fired.
+    step1 is the test's assignment-step candidate set (marginsel only)."""
     if method.name == RANDOM:
-        return _random_demos(ctx, "random", shots, test, seed), None, False
+        return _random_demos(ctx, "random", shots, test, seed), False
     if method.name == KNN_METHOD:
-        return _knn_demos(ctx, "knn method", shots, test, rankings), None, False
-
-    if step1 is None:
-        step1 = assign_candidates(ctx.backend, ctx.candidate_template, test.text, ctx.space)
+        return _knn_demos(ctx, "knn method", shots, test, rankings), False
     try:
         demo_set = marginsel_demos(ctx, method.alpha, shots, test, seed, step1, rankings)
     except EmptySelection:
         if fallback_policy == FALLBACK_KNN:
-            return _knn_demos(ctx, "knn fallback", shots, test, rankings), step1, True
-        return _random_demos(ctx, "fallback", shots, test, seed), step1, True
-    return [(e.example, e.source) for e in demo_set], step1, False
+            return _knn_demos(ctx, "knn fallback", shots, test, rankings), True
+        return _random_demos(ctx, "fallback", shots, test, seed), True
+    return [(e.example, e.source) for e in demo_set], False
+
+
+def _predict(
+    ctx: ExperimentContext,
+    method: MethodSpec,
+    shots: int,
+    seed: int,
+    tests: Sequence[Example],
+    fallback_policy: str,
+    step1: dict[str, CandidateSet],
+    rankings: dict[str, Ranking],
+    pool: Executor | None,
+) -> list[dict]:
+    """Stages 2-4 for one cell's test inputs: select every input's demos
+    here, then render the final prompts here, send only the requests through
+    the pool and parse each reply here into its record; a malformed reply
+    predicts the INVALID token.  step1 holds marginsel's assignment-step
+    candidate sets by test id; rankings is the run's table of neighbour
+    rankings by test id, which kNN fills and reads."""
+    records = []
+    inputs = []  # (demo (text, gold) pairs, test text) per record
+    for test in tests:
+        sets = step1.get(test.id) if method.name == MARGINSEL else None
+        demos, fell_back = _choose_demos(
+            ctx, method, shots, test, seed, fallback_policy, sets, rankings
+        )
+        records.append({
+            "method": method.label(),
+            "shot": shots,
+            "seed": seed,
+            "id": test.id,
+            "gold": test.gold,
+            "demo_ids": [ex.id for ex, _ in demos],
+            "demo_sources": [src for _, src in demos],
+            "step1": None if sets is None or sets.is_empty else sorted(sets.labels_in(ctx.space)),
+            "fallback": fell_back,
+        })
+        inputs.append(([(ex.text, ex.gold) for ex, _ in demos], test.text))
+    prompts = (render_final_prompt(ctx.final_template, pairs, text, ctx.space)
+               for pairs, text in inputs)
+    for record, reply in zip(records, complete_all(ctx.backend, prompts, pool)):
+        try:
+            record["predicted"] = parse_label_tags(reply, ctx.space, multi=False)
+        except (NoTag, EmptySet, Ambiguous) as exc:
+            log.warning("final parse failed for %s: %s", record["id"], exc)
+            record["predicted"] = INVALID
+    return records
 
 
 def predict_one(
@@ -275,40 +320,17 @@ def predict_one(
     test: Example,
     seed: int,
     fallback_policy: str = FALLBACK_KNN,
-    step1: CandidateSet | None = None,
-    rankings: dict[str, Ranking] | None = None,
 ) -> tuple[str, dict]:
-    """Predict one test example: select demos per method, render the final
-    prompt, parse the single-label reply; a malformed reply predicts the
-    INVALID token.  step1 is the test's assignment-step candidate set when
-    the caller already has it (marginsel only); rankings is the run's table
-    of neighbour rankings by test id, which kNN fills and reads (without it,
-    the test input is ranked on the spot)."""
-    demos, step1, fell_back = _choose_demos(
-        ctx, method, shots, test, seed, fallback_policy, step1,
-        {} if rankings is None else rankings,
-    )
-    pairs = [(ex.text, ex.gold) for ex, _ in demos]
-    system, user = render_final_prompt(ctx.final_template, pairs, test.text, ctx.space)
-    reply, _ = ctx.backend.complete(system, user)
-    try:
-        predicted = parse_label_tags(reply, ctx.space, multi=False)
-    except (NoTag, EmptySet, Ambiguous) as exc:
-        log.warning("final parse failed for %s: %s", test.id, exc)
-        predicted = INVALID
-    record = {
-        "method": method.label(),
-        "shot": shots,
-        "seed": seed,
-        "id": test.id,
-        "gold": test.gold,
-        "predicted": predicted,
-        "demo_ids": [ex.id for ex, _ in demos],
-        "demo_sources": [src for _, src in demos],
-        "step1": None if step1 is None or step1.is_empty else sorted(step1.labels_in(ctx.space)),
-        "fallback": fell_back,
-    }
-    return predicted, record
+    """Predict one test example with the stages of a run, every request on
+    the calling thread: step 1 (marginsel only), demos per method, the final
+    prompt and its single-label reply."""
+    step1: dict[str, CandidateSet] = {}
+    if method.name == MARGINSEL:
+        [step1[test.id]] = assign_candidates(
+            ctx.backend, ctx.candidate_template, [test.text], ctx.space
+        )
+    [record] = _predict(ctx, method, shots, seed, [test], fallback_policy, step1, {}, None)
+    return record["predicted"], record
 
 
 def _cell_key(record: dict) -> tuple:
@@ -342,7 +364,10 @@ def run_experiment(ctx: ExperimentContext, cfg: RunConfig) -> RunReport:
     """Execute the full grid.  Already-recorded cells are skipped; per-cell
     failures are annotated rather than aborting the run.  Step 1 runs at most
     once per test example per run, when a marginsel cell first needs it, and
-    so does the test example's neighbour ranking, when kNN first needs it."""
+    so does the test example's neighbour ranking, when kNN first needs it.
+    One request pool of ``ctx.max_in_flight`` workers serves the whole run;
+    only backend requests run in it, and everything else runs here, cell by
+    cell in grid order."""
     out_dir = Path(cfg.out_dir) if cfg.out_dir is not None else None
     records_path = out_dir / "records.jsonl" if out_dir else None
     existing = load_records(records_path) if records_path else {}
@@ -364,48 +389,34 @@ def run_experiment(ctx: ExperimentContext, cfg: RunConfig) -> RunReport:
     rankings: dict[str, Ranking] = {}  # test id -> neighbour ranking over train
     all_records: list[dict] = []
     cells: list[dict] = []
-    for method in cfg.methods:
-        for shot in cfg.shots:
-            for seed in cfg.seeds:
-                key = (method.label(), shot, seed)
-                cached = existing.get(key, {})
-                cell = {
-                    "method": method.label(),
-                    "alpha": method.alpha,
-                    "shot": shot,
-                    "seed": seed,
-                }
-                try:
-                    pending = [
-                        ex for ex in ctx.test.examples if ex.id not in cached
-                    ]
-                    if method.name == MARGINSEL:
-                        missing = tuple(ex for ex in pending if ex.id not in step1)
-                        assigned = build_lookup(Dataset(ctx.space, missing), ctx.backend,
-                                                ctx.candidate_template, ctx.max_in_flight)
-                        step1.update((e.example.id, e.candidates) for e in assigned)
-                    fresh = map_concurrently(
-                        lambda ex: predict_one(
-                            ctx, method, shot, ex, seed, cfg.fallback, step1.get(ex.id),
-                            rankings,
-                        )[1],
-                        pending,
-                        ctx.max_in_flight,
-                    )
-                    if fresh and records_path:
-                        # flushed as soon as a cell finishes so an
-                        # interrupted run resumes without recomputation
-                        with open(records_path, "a", encoding="utf-8") as fh:
-                            fh.write(_jsonl(fresh))
-                    cell_records = list(cached.values()) + list(fresh)
-                    cell_records.sort(key=lambda r: test_order[r["id"]])
-                    pairs = [(r["gold"], r["predicted"]) for r in cell_records]
-                    cell["macro_f1"] = macro_f1(pairs, ctx.space)
-                    all_records.extend(cell_records)
-                except MarginSelError as exc:
-                    log.error("cell %s failed: %s", key, exc)
-                    cell["error"] = str(exc)
-                cells.append(cell)
+    with request_pool(ctx.max_in_flight) as pool:
+        for method, shot, seed in itertools.product(cfg.methods, cfg.shots, cfg.seeds):
+            key = (method.label(), shot, seed)
+            cached = existing.get(key, {})
+            cell = {"method": method.label(), "alpha": method.alpha, "shot": shot, "seed": seed}
+            try:
+                pending = [ex for ex in ctx.test.examples if ex.id not in cached]
+                if method.name == MARGINSEL:
+                    missing = [ex for ex in pending if ex.id not in step1]
+                    step1.update(zip([ex.id for ex in missing], assign_candidates(
+                        ctx.backend, ctx.candidate_template,
+                        [ex.text for ex in missing], ctx.space, pool)))
+                fresh = _predict(ctx, method, shot, seed, pending, cfg.fallback,
+                                 step1, rankings, pool)
+                if fresh and records_path:
+                    # flushed as soon as a cell finishes so an
+                    # interrupted run resumes without recomputation
+                    with open(records_path, "a", encoding="utf-8") as fh:
+                        fh.write(_jsonl(fresh))
+                cell_records = list(cached.values()) + fresh
+                cell_records.sort(key=lambda r: test_order[r["id"]])
+                pairs = [(r["gold"], r["predicted"]) for r in cell_records]
+                cell["macro_f1"] = macro_f1(pairs, ctx.space)
+                all_records.extend(cell_records)
+            except MarginSelError as exc:
+                log.error("cell %s failed: %s", key, exc)
+                cell["error"] = str(exc)
+            cells.append(cell)
 
     summary = _summarize(cells, cfg)
     report = RunReport(cells=cells, summary=summary, records=all_records)

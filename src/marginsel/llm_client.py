@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import fcntl
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -22,10 +23,10 @@ import os
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
 
 import requests
 
@@ -35,6 +36,8 @@ log = logging.getLogger(__name__)
 
 T = TypeVar("T")
 U = TypeVar("U")
+
+REQUEST_BATCH = 256  # prompts complete_all draws ahead of their replies
 
 
 class Transport(MarginSelError):
@@ -369,12 +372,47 @@ def backend_calls(backend: Backend) -> int:
     return backend.calls
 
 
+def check_in_flight(max_in_flight: int) -> None:
+    """Refuse (ValueError) a max_in_flight that is not an int of at least 1,
+    or that is a bool."""
+    if isinstance(max_in_flight, bool) or not isinstance(max_in_flight, int) or max_in_flight < 1:
+        raise ValueError(f"max_in_flight must be an integer >= 1, not {max_in_flight!r}")
+
+
+def request_pool(max_in_flight: int) -> contextlib.AbstractContextManager[Executor | None]:
+    """The pool that keeps up to max_in_flight backend requests in flight:
+    a thread pool, closed when its ``with`` block exits, or None at 1, when
+    requests run on the calling thread."""
+    check_in_flight(max_in_flight)
+    if max_in_flight == 1:
+        return contextlib.nullcontext()
+    return ThreadPoolExecutor(max_workers=max_in_flight)
+
+
+def pool_map(fn: Callable[[T], U], items: Sequence[T], pool: Executor | None) -> list[U]:
+    """fn applied to every item in input order: in the pool when there is
+    one and more than one item, else on the calling thread.  The first
+    exception propagates, and the calls not yet started are cancelled."""
+    if pool is None or len(items) <= 1:
+        return [fn(item) for item in items]
+    return list(pool.map(fn, items))
+
+
+def complete_all(
+    backend: Backend, prompts: Iterable[tuple[str, str]], pool: Executor | None
+) -> Iterator[str]:
+    """The reply to each (system, user) prompt, in order.  Only the
+    ``backend.complete`` calls go through the pool; prompts are drawn on the
+    calling thread, REQUEST_BATCH at a time, so no more than that many are
+    held at once."""
+    prompts = iter(prompts)
+    while batch := list(itertools.islice(prompts, REQUEST_BATCH)):
+        yield from (reply for reply, _ in pool_map(lambda p: backend.complete(*p), batch, pool))
+
+
 def map_concurrently(
     fn: Callable[[T], U], items: Sequence[T], max_in_flight: int
 ) -> list[U]:
-    """Apply fn to every item with a bounded number in flight, preserving
-    input order.  The first exception propagates."""
-    if max_in_flight <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-        return list(pool.map(fn, items))
+    """pool_map through a request pool of its own."""
+    with request_pool(max_in_flight) as pool:
+        return pool_map(fn, items, pool)

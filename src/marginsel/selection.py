@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import random
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -35,7 +36,7 @@ from .knn import (
     Ranking,
     knn_retrieve,  # not called here; bench/tracing.py spans this binding
 )
-from .llm_client import Backend, map_concurrently
+from .llm_client import Backend, complete_all, request_pool
 from .prompting import (
     EmptySet,
     NoTag,
@@ -150,21 +151,29 @@ class DemoSet:
 
 
 def assign_candidates(
-    backend: Backend, template: PromptTemplate, text: str, space: LabelSpace
-) -> CandidateSet:
-    """Step 1 for one input, training or test: render the multi-label
-    assignment prompt, send it, and parse the reply into a candidate set.
+    backend: Backend,
+    template: PromptTemplate,
+    texts: Sequence[str],
+    space: LabelSpace,
+    pool: Executor | None = None,
+) -> list[CandidateSet]:
+    """Step 1 for inputs, training or test, in order: render each
+    multi-label assignment prompt here, send the prompts through the request
+    pool (or here, without one), and parse each reply here into a candidate
+    set.
 
     A reply that carries no parseable known label yields the empty set
     (logged, never fatal), which can never hard-match anything.
     """
-    system, user = render_candidate_prompt(template, text, space)
-    reply, _ = backend.complete(system, user)
-    try:
-        return parse_label_tags(reply, space, multi=True)
-    except (NoTag, EmptySet) as exc:
-        log.warning("candidate parse failed for %.60r: %s", text, exc)
-        return CandidateSet.empty(space)
+    prompts = (render_candidate_prompt(template, text, space) for text in texts)
+    candidates = []
+    for text, reply in zip(texts, complete_all(backend, prompts, pool)):
+        try:
+            candidates.append(parse_label_tags(reply, space, multi=True))
+        except (NoTag, EmptySet) as exc:
+            log.warning("candidate parse failed for %.60r: %s", text, exc)
+            candidates.append(CandidateSet.empty(space))
+    return candidates
 
 
 def build_lookup(
@@ -173,17 +182,17 @@ def build_lookup(
     template: PromptTemplate,
     max_in_flight: int = 4,
 ) -> LookupTable:
-    """Run step 1 over every example of a dataset, in dataset order.
+    """Run step 1 over every example of a dataset, in dataset order, with up
+    to max_in_flight requests in flight.
 
     Entries whose assignment failed carry the empty candidate set: they are
     kept for bookkeeping but can never hard-match a test input.
     """
-
-    def assign(example: Example) -> LookupEntry:
-        candidates = assign_candidates(backend, template, example.text, train.space)
-        return LookupEntry(example=example, candidates=candidates)
-
-    return LookupTable(map_concurrently(assign, train.examples, max_in_flight))
+    with request_pool(max_in_flight) as pool:
+        candidates = assign_candidates(
+            backend, template, [ex.text for ex in train.examples], train.space, pool
+        )
+    return LookupTable(map(LookupEntry, train.examples, candidates))
 
 
 def save_lookup(entries: Sequence[LookupEntry], path: str | Path, space: LabelSpace) -> None:

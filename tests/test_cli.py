@@ -508,6 +508,37 @@ def test_a_bad_lookup_or_embeddings_line_names_the_file_and_line(tmp_path, capsy
     assert main(select) == 0
 
 
+def test_max_in_flight_must_be_a_positive_int(tmp_path, capsys):
+    config_path = make_workspace(tmp_path)
+    for command in ("assign", "eval"):
+        for value in ("four", "0", "-3", "true", "2.5"):
+            capsys.readouterr()
+            override = f"backend.max_in_flight={value}"
+            assert main(["--config", str(config_path), "--set", override, command]) == 2
+            assert "max_in_flight" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+        if command == "assign":
+            assert not (tmp_path / "lookup.jsonl").exists()
+            assert main(["--config", str(config_path), "assign"]) == 0
+
+
+def test_a_bad_dataset_line_names_the_file_and_line(tmp_path, capsys):
+    config_path = make_workspace(tmp_path)
+    lines = (tmp_path / "data.jsonl").read_text().splitlines(keepends=True)
+    train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    split = ["--set", f"dataset.train_path={json.dumps(str(train))}",
+             "--set", f"dataset.test_path={json.dumps(str(test))}"]
+    select = ["--config", str(config_path), *split, "select", "--test-id", "e20"]
+    for bad_path, good_path in ((train, test), (test, train)):
+        for bad in ('{"id" "x"}\n', '{"id": "x", "text": "t", "label": "purple"}\n'):
+            bad_path.write_text(lines[0] + bad + "".join(lines[2:12]))
+            good_path.write_text("".join(lines[12:]))
+            capsys.readouterr()
+            assert main(select) == 2
+            err = capsys.readouterr().err
+            assert f"{bad_path}, line 2:" in err and str(good_path) not in err
+
+
 def test_readme_config_reference_matches_load_config(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("### Config reference")[1].split("```jsonc")[1].split("```")[0]

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -45,6 +46,18 @@ def test_load_dataset_unknown_label(tmp_path, abc_space):
     with pytest.raises(UnknownLabel) as err:
         load_dataset(path, abc_space)
     assert err.value.line_no == 1
+
+
+def test_load_errors_name_the_file_and_line(tmp_path, abc_space):
+    path = tmp_path / "data.jsonl"
+    for line, error in (
+        ("{oops", ParseError),
+        ('{"id": "2", "text": "y"}', ParseError),
+        ('{"id": "2", "text": "y", "label": "z"}', UnknownLabel),
+    ):
+        path.write_text('{"id": "1", "text": "x", "label": "a"}\n' + line + "\n")
+        with pytest.raises(error, match=re.escape(f"{path}, line 2: ")):
+            load_dataset(path, abc_space)
 
 
 def test_load_dataset_parse_and_duplicate_errors(tmp_path, abc_space):

@@ -1,5 +1,8 @@
+import gc
 import json
 import random
+import sys
+import threading
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -647,6 +650,125 @@ def test_cell_error_annotation(tmp_path):
     assert "embedding store" in report.failed_cells[0]["error"]
     # report persisted despite the failure
     assert (tmp_path / "run" / "report.json").exists()
+
+
+# --------------------------------------------------------------------------
+# requests in flight
+# --------------------------------------------------------------------------
+
+
+class NoStep1For:
+    """Replies with no label to the step-1 prompts of texts carrying
+    ``word``, so those test inputs get an empty candidate set."""
+
+    def __init__(self, backend, word):
+        self.backend = backend
+        self.word = word
+        self.model_name = backend.model_name
+        self.temperature = backend.temperature
+
+    def complete(self, system, user):
+        if "comma-separated" in user and self.word in user:
+            return "no labels here", 1
+        return self.backend.complete(system, user)
+
+
+def _every_method(out_dir=None):
+    return RunConfig(
+        methods=[MethodSpec("random"), MethodSpec("knn"),
+                 MethodSpec("marginsel", alpha=0.5), MethodSpec("marginsel", alpha=1.0)],
+        shots=[2, 3],
+        seeds=[1, 2],
+        fallback="knn",
+        out_dir=out_dir,
+    )
+
+
+def test_results_do_not_depend_on_requests_in_flight(tmp_path):
+    # Gamma inputs have no step-1 set, so the knn fallback fires at alpha 1.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    outputs = {}
+    try:
+        for in_flight in (1, 4):
+            for cached in (False, True):
+                ctx = replace(planted_pipeline(), max_in_flight=in_flight)
+                ctx.backend = NoStep1For(ctx.backend, "gammasig")
+                if cached:
+                    ctx.backend = CachedBackend(ctx.backend, tmp_path / f"cache{in_flight}")
+                out = tmp_path / f"run-{in_flight}-{cached}"
+                report = run_experiment(ctx, _every_method(out))
+                assert not report.failed_cells
+                assert sum(r["fallback"] for r in report.records) == 3 * 2 * 2
+                outputs[in_flight, cached] = [
+                    (out / name).read_bytes()
+                    for name in ("records.jsonl", "report.json", "report.csv")
+                ]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(files == outputs[1, False] for files in outputs.values())
+
+
+def test_a_run_starts_at_most_max_in_flight_threads(monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    for in_flight in (1, 2, 4):
+        ctx = replace(planted_pipeline(), max_in_flight=in_flight)
+        started.clear()
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        report = run_experiment(ctx, _every_method())
+        monkeypatch.undo()
+        assert not report.failed_cells
+        if in_flight == 1:
+            assert started == []
+        else:
+            assert 1 <= len(started) <= in_flight
+
+
+class CrashAfter:
+    """Passes ``limit`` requests through, then raises an error no cell
+    catches, from whichever thread sends the next request."""
+
+    def __init__(self, backend, limit):
+        self.backend = backend
+        self.model_name = backend.model_name
+        self.temperature = backend.temperature
+        self.limit = limit
+        self._lock = threading.Lock()
+
+    def complete(self, system, user):
+        with self._lock:
+            self.limit -= 1
+            if self.limit < 0:
+                raise RuntimeError("backend crashed")
+        return self.backend.complete(system, user)
+
+
+def test_a_crash_mid_run_leaves_no_worker_thread(tmp_path, monkeypatch):
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    ctx = replace(planted_pipeline(), max_in_flight=4)
+    ctx.backend = CrashAfter(CachedBackend(ctx.backend, tmp_path / "cache"), 40)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="backend crashed"):
+        run_experiment(ctx, _every_method(tmp_path / "run"))
+    assert set(threading.enumerate()) == before
+    gc.collect()
+    assert unraisable == []
+    # the cells finished before the crash are kept
+    assert len(load_records(tmp_path / "run" / "records.jsonl")) == 4
+
+
+def test_max_in_flight_is_a_positive_int():
+    ctx = planted_pipeline()
+    for bad in ("four", 0, -3, True, 2.0, None):
+        with pytest.raises(ValueError, match="max_in_flight"):
+            replace(ctx, max_in_flight=bad)
 
 
 # --------------------------------------------------------------------------
