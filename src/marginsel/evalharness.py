@@ -17,8 +17,10 @@ import json
 import logging
 import random
 import statistics
+from collections import defaultdict
 from concurrent.futures import Executor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -31,6 +33,7 @@ from .core import (
     MarginSelError,
     canonical_label,
     replace_file,
+    round_half_up,
     write_csv,
     write_json,
 )
@@ -49,6 +52,7 @@ from .prompting import (
 from .selection import (
     DemoSet,
     EmptySelection,
+    HardDraw,
     LookupTable,
     SelectionConfig,
     assign_candidates,
@@ -59,6 +63,9 @@ from .selection import (
 log = logging.getLogger(__name__)
 
 INVALID = "__invalid__"
+
+# one encoder for every records.jsonl line: json.dumps builds one per call
+_RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 
 RANDOM = "random"
 KNN_METHOD = "knn"
@@ -226,19 +233,22 @@ def marginsel_demos(
     seed: int,
     step1: CandidateSet | None,
     rankings: dict[str, Ranking],
+    draws: dict[tuple[str, int], HardDraw] | None = None,
 ) -> DemoSet:
     """MarginSel's demonstrations for one test input, composed here and only
     here so that ``select`` shows what ``predict`` and ``eval`` use:
     select_demos over the lookup table with the test's step-1 candidate set
     (None or empty when assignment failed), the draw seeded from (seed,
     "marginsel", test id) and, when alpha < 1, the test's neighbour ranking
-    from ``rankings``.  Raises EmptySelection at alpha = 1 when nothing
-    matches."""
+    from ``rankings``.  The hard picks are a prefix of the test's draw order
+    for the seed in the run's ``draws``, or of a fresh one without it.
+    Raises EmptySelection at alpha = 1 when nothing matches."""
     cfg = SelectionConfig(alpha, shots, derive_seed(seed, MARGINSEL, test.id))
     neighbours = None
     if alpha < 1.0:
         neighbours = _ranking(ctx, "marginsel at alpha < 1", test, rankings)
-    return select_demos(ctx.lookup, step1, neighbours, ctx.rho, cfg)
+    draw = None if draws is None else draws[test.id, seed]
+    return select_demos(ctx.lookup, step1, neighbours, ctx.rho, cfg, draw)
 
 
 def _choose_demos(
@@ -250,6 +260,7 @@ def _choose_demos(
     fallback_policy: str,
     step1: CandidateSet | None,
     rankings: dict[str, Ranking],
+    draws: dict[tuple[str, int], HardDraw] | None,
 ) -> tuple[list[tuple[Example, str]], bool]:
     """Demos as (example, source) pairs, and whether the fallback fired.
     step1 is the test's assignment-step candidate set (marginsel only)."""
@@ -258,7 +269,7 @@ def _choose_demos(
     if method.name == KNN_METHOD:
         return _knn_demos(ctx, "knn method", shots, test, rankings), False
     try:
-        demo_set = marginsel_demos(ctx, method.alpha, shots, test, seed, step1, rankings)
+        demo_set = marginsel_demos(ctx, method.alpha, shots, test, seed, step1, rankings, draws)
     except EmptySelection:
         if fallback_policy == FALLBACK_KNN:
             return _knn_demos(ctx, "knn fallback", shots, test, rankings), True
@@ -275,6 +286,7 @@ def _predict(
     fallback_policy: str,
     step1: dict[str, CandidateSet],
     rankings: dict[str, Ranking],
+    draws: dict[tuple[str, int], HardDraw] | None,
     pool: Executor | None,
 ) -> list[dict]:
     """Stages 2-4 for one cell's test inputs: select every input's demos
@@ -282,13 +294,15 @@ def _predict(
     the pool and parse each reply here into its record; a malformed reply
     predicts the INVALID token.  step1 holds marginsel's assignment-step
     candidate sets by test id; rankings is the run's table of neighbour
-    rankings by test id, which kNN fills and reads."""
+    rankings by test id, which kNN fills and reads; draws is the run's table
+    of hard draw orders by (test id, seed), which marginsel fills and
+    reads."""
     records = []
     inputs = []  # (demo (text, gold) pairs, test text) per record
     for test in tests:
         sets = step1.get(test.id) if method.name == MARGINSEL else None
         demos, fell_back = _choose_demos(
-            ctx, method, shots, test, seed, fallback_policy, sets, rankings
+            ctx, method, shots, test, seed, fallback_policy, sets, rankings, draws
         )
         records.append({
             "method": method.label(),
@@ -329,7 +343,7 @@ def predict_one(
         [step1[test.id]] = assign_candidates(
             ctx.backend, ctx.candidate_template, [test.text], ctx.space
         )
-    [record] = _predict(ctx, method, shots, seed, [test], fallback_policy, step1, {}, None)
+    [record] = _predict(ctx, method, shots, seed, [test], fallback_policy, step1, {}, None, None)
     return record["predicted"], record
 
 
@@ -365,6 +379,8 @@ def run_experiment(ctx: ExperimentContext, cfg: RunConfig) -> RunReport:
     failures are annotated rather than aborting the run.  Step 1 runs at most
     once per test example per run, when a marginsel cell first needs it, and
     so does the test example's neighbour ranking, when kNN first needs it.
+    A test example's hard draw order is drawn once per seed, as deep as the
+    grid's largest hard quota, and every marginsel cell reads a prefix of it.
     One request pool of ``ctx.max_in_flight`` workers serves the whole run;
     only backend requests run in it, and everything else runs here, cell by
     cell in grid order."""
@@ -385,9 +401,15 @@ def run_experiment(ctx: ExperimentContext, cfg: RunConfig) -> RunReport:
         with open(records_path, "rb+") as fh:
             fh.truncate(fh.read().rfind(b"\n") + 1)
 
+    # each record's records.jsonl line, encoded once (never without a run directory)
+    encode = _line if records_path else lambda record: ""
     step1: dict[str, CandidateSet] = {}  # test id -> step-1 candidate set
     rankings: dict[str, Ranking] = {}  # test id -> neighbour ranking over train
-    all_records: list[dict] = []
+    depth = max((round_half_up(m.alpha * shot) for m in cfg.methods if m.name == MARGINSEL
+                 for shot in cfg.shots), default=0)
+    # (test id, seed) -> hard draw order, as deep as the largest hard quota
+    draws: dict[tuple[str, int], HardDraw] = defaultdict(partial(HardDraw, depth))
+    all_records: list[tuple[dict, str]] = []  # (record, its line)
     cells: list[dict] = []
     with request_pool(ctx.max_in_flight) as pool:
         for method, shot, seed in itertools.product(cfg.methods, cfg.shots, cfg.seeds):
@@ -401,16 +423,16 @@ def run_experiment(ctx: ExperimentContext, cfg: RunConfig) -> RunReport:
                     step1.update(zip([ex.id for ex in missing], assign_candidates(
                         ctx.backend, ctx.candidate_template,
                         [ex.text for ex in missing], ctx.space, pool)))
-                fresh = _predict(ctx, method, shot, seed, pending, cfg.fallback,
-                                 step1, rankings, pool)
+                fresh = [(r, encode(r)) for r in _predict(
+                    ctx, method, shot, seed, pending, cfg.fallback, step1, rankings, draws, pool)]
                 if fresh and records_path:
                     # flushed as soon as a cell finishes so an
                     # interrupted run resumes without recomputation
                     with open(records_path, "a", encoding="utf-8") as fh:
-                        fh.write(_jsonl(fresh))
-                cell_records = list(cached.values()) + fresh
-                cell_records.sort(key=lambda r: test_order[r["id"]])
-                pairs = [(r["gold"], r["predicted"]) for r in cell_records]
+                        fh.write("".join(line for _, line in fresh))
+                cell_records = [(r, encode(r)) for r in cached.values()] + fresh
+                cell_records.sort(key=lambda pair: test_order[pair[0]["id"]])
+                pairs = [(r["gold"], r["predicted"]) for r, _ in cell_records]
                 cell["macro_f1"] = macro_f1(pairs, ctx.space)
                 all_records.extend(cell_records)
             except MarginSelError as exc:
@@ -419,9 +441,10 @@ def run_experiment(ctx: ExperimentContext, cfg: RunConfig) -> RunReport:
             cells.append(cell)
 
     summary = _summarize(cells, cfg)
-    report = RunReport(cells=cells, summary=summary, records=all_records)
+    report = RunReport(cells=cells, summary=summary, records=[r for r, _ in all_records])
     if out_dir:
-        _persist(report, out_dir)
+        all_records.sort(key=lambda pair: _cell_key(pair[0]))
+        _persist(report, out_dir, "".join(line for _, line in all_records))
     return report
 
 
@@ -460,16 +483,15 @@ def _summarize(cells: list[dict], cfg: RunConfig) -> list[dict]:
     return summary
 
 
-def _jsonl(records: Sequence[dict]) -> str:
-    """Records as ``records.jsonl`` lines, the format load_records reads."""
-    return "".join(
-        json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n" for record in records
-    )
+def _line(record: dict) -> str:
+    """A record as a ``records.jsonl`` line, the format load_records reads."""
+    return _RECORD_ENCODER.encode(record) + "\n"
 
 
-def _persist(report: RunReport, out_dir: Path) -> None:
-    records_sorted = sorted(report.records, key=_cell_key)
-    replace_file(out_dir / "records.jsonl", _jsonl(records_sorted))
+def _persist(report: RunReport, out_dir: Path, records_text: str) -> None:
+    """The run's artifacts: records_text, its records' lines sorted by cell,
+    as ``records.jsonl``, and the reports."""
+    replace_file(out_dir / "records.jsonl", records_text)
     write_json(out_dir / "report.json", {"cells": report.cells, "summary": report.summary})
     rows = [["method", "alpha", "shot", "seed", "macro_f1"]]
     for cell in report.cells:

@@ -278,9 +278,11 @@ class CachedBackend:
     """Response cache around any backend: one append-only JSON-lines file,
     ``cache_dir/responses.jsonl``, indexed in memory when the cache opens by
     the sha256 of (model, system, user, temperature).  A miss first indexes
-    what other processes appended since, then appends one line under an
-    exclusive ``flock``.  A line that does not parse is skipped, so its
-    request is asked again.  No file stays open between calls."""
+    what other processes appended since, when the file has grown, then
+    appends one line under an exclusive ``flock``.  A line that does not
+    parse is skipped, so its request is asked again.  Only a miss opens the
+    file for writing, so a cache that cannot be written still serves its
+    hits.  No file stays open between calls."""
 
     def __init__(self, backend: Backend, cache_dir: str | Path):
         self.backend = backend
@@ -298,9 +300,17 @@ class CachedBackend:
         self._read_new()
 
     def _read_new(self) -> None:
-        """Index the complete lines past the indexed bytes.  A last line with
-        no newline is torn or still being written, and is left unread."""
-        with open(self.path, "a+b") as fh:  # created if missing
+        """Index the complete lines past the indexed bytes, opening the file
+        to read only when it has grown past them; a missing file is empty.
+        A last line with no newline is torn or still being written, and is
+        left unread."""
+        try:
+            if os.stat(self.path).st_size <= self._indexed:
+                return
+            fh = open(self.path, "rb")
+        except FileNotFoundError:
+            return
+        with fh:
             fh.seek(self._indexed)
             for line in fh:
                 if not line.endswith(b"\n"):

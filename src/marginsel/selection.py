@@ -8,6 +8,11 @@ lookup table; up to round_half_up(alpha * n) matches are kept, downsampled
 without replacement with weights 1/rho(gold) when the pool is larger; the
 remaining slots are filled by cosine kNN over the training set (never when
 alpha = 1).  Hard picks precede kNN picks in the returned set.
+
+The draw's seed does not depend on alpha or n, so a run draws each test
+input's order once per seed (a ``HardDraw``) and every cell reads its hard
+picks as a prefix of that order: the first k picks of a deeper draw are the
+picks of a k-draw.
 """
 
 from __future__ import annotations
@@ -77,6 +82,9 @@ class Pool(tuple):
         code = {label: i for i, label in enumerate(pool.labels)}
         pool.codes = np.array([code[e.example.gold] for e in pool], dtype=np.intp)
         return pool
+
+
+EMPTY_POOL = Pool()
 
 
 class LookupTable(tuple):
@@ -228,7 +236,7 @@ def match_hard(table: LookupTable, test_candidates: CandidateSet) -> Pool:
     order.  Empty-set (parse-failure) entries never match."""
     if test_candidates.is_empty:
         raise ValueError("test candidate set must be non-empty")
-    return table.pools.get(test_candidates, Pool())
+    return table.pools.get(test_candidates, EMPTY_POOL)
 
 
 def weighted_sample(
@@ -245,7 +253,10 @@ def weighted_sample(
     removes it.  Concretely each draw computes r = rng.random() * total and
     takes the first index whose cumulative weight (a sequential float64 sum)
     exceeds r, else the last; this exact protocol is part of the contract
-    so that an independent replay reproduces the draws bit-for-bit.
+    so that an independent replay reproduces the draws bit-for-bit.  The
+    cumulative weights carry over from draw to draw: after a pick only those
+    from the pick onwards are summed again, starting from the unchanged sum
+    before it, which equals a fresh sum over the remaining weights.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -257,19 +268,51 @@ def weighted_sample(
         return list(pool)
     # A picked weight is zeroed in place: adding 0.0 leaves every cumulative
     # sum bit-identical to the sum over the remaining entries, and
-    # searchsorted(side="right") never lands on a zeroed slot.
+    # searchsorted(side="right") never lands on a zeroed slot.  The re-sum
+    # seeds the pick's slot with the sum before it; accumulate adds in
+    # sequence, so the sums equal a fresh cumsum bit for bit.
     weights = label_weights[pool.codes]
+    cumulative = weights.cumsum()
     rng = random.Random(seed)
     picked: list[LookupEntry] = []
-    for _ in range(k):
-        cumulative = weights.cumsum()
+    for n in range(1, k + 1):
         r = rng.random() * cumulative[-1]
         chosen = int(cumulative.searchsorted(r, side="right"))
         if chosen == len(pool):  # r reached the total: the last remaining entry
             chosen = int(weights.nonzero()[0][-1])
         picked.append(pool[chosen])
-        weights[chosen] = 0.0
+        if n < k:
+            weights[chosen] = cumulative[chosen - 1] if chosen else 0.0
+            np.add.accumulate(weights[chosen:], out=cumulative[chosen:])
+            weights[chosen] = 0.0
     return picked
+
+
+class HardDraw:
+    """One test input's 1/rho draw order for one seed, drawn by a single
+    weighted_sample call at least ``depth`` deep and read as prefixes.  It
+    keeps the picks only, and serves one pool and seed.  A draw that raises
+    (a label with no frequency) keeps nothing, so every later take raises
+    too."""
+
+    __slots__ = ("depth", "picks")
+
+    def __init__(self, depth: int = 0):
+        self.depth = depth
+        self.picks: list[LookupEntry] | None = None
+
+    def take(self, pool: Pool, k: int, rho: LabelFrequency, seed: int) -> list[LookupEntry]:
+        """weighted_sample(pool, k, rho, seed), from the order drawn so far
+        when it is deep enough.  A pool that fits in k is returned whole, so
+        the order never goes deeper than len(pool) - 1."""
+        if not pool:
+            return []
+        fits = len(pool) <= k
+        need = 0 if fits else k
+        if self.picks is None or len(self.picks) < need:
+            depth = min(max(self.depth, need), len(pool) - 1)
+            self.picks = weighted_sample(pool, depth, rho, seed)
+        return list(pool) if fits else self.picks[:k]
 
 
 def select_demos(
@@ -278,6 +321,7 @@ def select_demos(
     neighbours: Ranking | None,
     rho: LabelFrequency,
     cfg: SelectionConfig,
+    draw: HardDraw | None = None,
 ) -> DemoSet:
     """Compose the demonstration set for one test input.
 
@@ -289,16 +333,21 @@ def select_demos(
     raises EmptySelection for the caller's fallback policy.
 
     test_candidates may be None (or empty) when the assignment step failed
-    for the test input; the matched pool is then empty.
+    for the test input; the matched pool is then empty.  The hard picks come
+    from ``draw``, the test input's draw order for cfg.seed, which this call
+    fills when it is not yet deep enough; without one they come from a fresh
+    order.
     """
     if not table:
         raise ValueError("lookup table is empty")
     quota = round_half_up(cfg.alpha * cfg.shots)
     if test_candidates is None or test_candidates.is_empty:
-        matched = Pool()
+        matched = EMPTY_POOL
     else:
         matched = match_hard(table, test_candidates)
-    hard = weighted_sample(matched, quota, rho, cfg.seed) if quota else []
+    if draw is None:
+        draw = HardDraw()
+    hard = draw.take(matched, quota, rho, cfg.seed) if quota else []
 
     if cfg.alpha == 1.0:
         if not matched:

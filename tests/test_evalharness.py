@@ -481,6 +481,41 @@ def test_each_test_input_is_ranked_once_per_run(monkeypatch):
     assert ranked == Counter(2 * [ex.id for ex in ctx.test.examples])
 
 
+def test_each_test_input_is_drawn_once_per_seed(monkeypatch):
+    # Marginsel at alpha 0.5 and 1 over three shot counts reads one hard draw
+    # order per (test input, seed) with a non-empty pool; the table belongs
+    # to the run, so a second run draws again.
+    from marginsel import selection
+
+    drawn = Counter()
+    draw = selection.weighted_sample
+
+    def counted(pool, k, rho, seed):
+        drawn[seed] += 1
+        return draw(pool, k, rho, seed)
+
+    monkeypatch.setattr(selection, "weighted_sample", counted)
+    ctx = planted_pipeline()
+    cfg = RunConfig(
+        methods=[MethodSpec("marginsel", alpha=0.5), MethodSpec("marginsel", alpha=1.0)],
+        shots=[2, 3, 4],
+        seeds=[1, 2],
+        fallback="random",
+    )
+    step1 = selection.assign_candidates(
+        ctx.backend, ctx.candidate_template, [ex.text for ex in ctx.test.examples], ctx.space)
+    with_pool = [ex for ex, cands in zip(ctx.test.examples, step1)
+                 if not cands.is_empty and ctx.lookup.pools.get(cands)]
+    assert with_pool
+    expected = Counter(derive_seed(seed, "marginsel", ex.id) for ex in with_pool
+                       for seed in cfg.seeds)
+    report = run_experiment(ctx, cfg)
+    assert not report.failed_cells
+    assert drawn == expected
+    run_experiment(ctx, cfg)
+    assert drawn == expected + expected
+
+
 def test_context_refuses_a_lookup_of_another_split():
     # The lookup is the kNN candidate list as well as the hard pool, so a
     # context whose lookup does not hold the train split in order is refused.

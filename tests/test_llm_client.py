@@ -331,6 +331,42 @@ def test_cache_second_call_is_free(tmp_path):
     assert backend.hits == 1 and backend.misses == 1
 
 
+def test_a_read_only_cache_serves_a_warm_rerun(tmp_path, monkeypatch):
+    rule = MockRule({"x": frozenset({"positive"})}, default="neutral")
+    prompts = [("s", f"x {i}") for i in range(5)] + [("s", "plain")]
+    first = CachedBackend(MockBackend(rule, SST5), tmp_path)
+    replies = [first.complete(*p)[0] for p in prompts]
+    real_open = open
+
+    def read_only(file, mode="r", *args, **kwargs):
+        if any(c in mode for c in "wax+"):
+            raise PermissionError(f"read-only: {file}")
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", read_only)
+    inner = MockBackend(rule, SST5)
+    rerun = CachedBackend(inner, tmp_path)
+    assert [rerun.complete(*p) for p in prompts] == [(reply, 0) for reply in replies]
+    assert inner.calls == 0 and rerun.hits == len(prompts)
+
+
+def test_a_miss_opens_the_cache_file_once(tmp_path, monkeypatch):
+    rule = MockRule({"x": frozenset({"positive"})}, default="neutral")
+    cache = CachedBackend(MockBackend(rule, SST5), tmp_path)
+    cache.complete("s", "x first")
+    opened = []
+    real_open = open
+
+    def counting(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting)
+    cache.complete("s", "x second")
+    assert opened == [tmp_path / "responses.jsonl"]
+    assert cache.misses == 2
+
+
 def test_cache_key_distinguishes_inputs(tmp_path):
     rule = MockRule({"x": frozenset({"positive"})}, default="neutral")
     backend = CachedBackend(MockBackend(rule, SST5), tmp_path)

@@ -16,6 +16,7 @@ from marginsel.llm_client import CachedBackend, MockBackend, MockRule, mock_mult
 from marginsel.selection import (
     DemoSet,
     EmptySelection,
+    HardDraw,
     LookupEntry,
     LookupTable,
     Pool,
@@ -249,6 +250,35 @@ def test_weighted_sample_cap_takes_the_last_remaining_entry(monkeypatch):
     got = [e.example.id for e in weighted_sample(Pool(rows), 3, rho, seed=0)]
     want = oracle_draw([(e.example.id, e.example.gold) for e in rows], rho.proportions, 3, 0)
     assert got == want == ["d", "c", "b"]
+
+
+def test_hard_draw_prefixes_equal_weighted_sample():
+    # A run reads every cell's hard picks off one draw order per (test input,
+    # seed); each read must equal a weighted_sample call of its own, for
+    # pools shorter than, equal to and longer than the quota.
+    rng = random.Random(5)
+    rho = _rho(red=0.5, green=0.3, blue=0.2)
+    golds = ["red", "green", "blue"]
+    pools = [Pool([entry(f"p{n}-{i}", rng.choice(golds), "111") for i in range(n)])
+             for n in range(41)]
+    pools.append(Pool([entry(f"big-{i}", rng.choices(golds, [5, 3, 2])[0], "111")
+                       for i in range(3000)]))
+    for quotas in ([2, 4, 4, 8], [16, 4], [1, 3, 17, 2]):
+        for pool in pools:
+            for seed in range(3):
+                for draw in (HardDraw(max(quotas)), HardDraw()):
+                    for k in quotas:
+                        assert draw.take(pool, k, rho, seed) == weighted_sample(pool, k, rho, seed)
+                    if len(pool) > 1:
+                        assert len(draw.picks) <= len(pool) - 1
+
+
+def test_hard_draw_fails_every_take_on_a_missing_frequency():
+    pool = Pool([entry("1", "red", "110"), entry("2", "green", "110"), entry("3", "red", "110")])
+    draw = HardDraw(4)
+    for k in (1, 2, 4):
+        with pytest.raises(MissingFrequency):
+            draw.take(pool, k, _rho(red=1.0), seed=0)
 
 
 def test_lookup_table_indexes_once(tmp_path):
