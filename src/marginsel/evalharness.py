@@ -38,7 +38,7 @@ from .core import (
     write_json,
 )
 from .dataset import Dataset, LabelFrequency, label_frequency
-from .knn import EmbeddingStore, Ranking, knn_retrieve, rank
+from .knn import CandidateIndex, EmbeddingStore, Ranking, build_index, knn_retrieve, rank
 from .llm_client import Backend, check_in_flight, complete_all, request_pool
 from .prompting import (
     Ambiguous,
@@ -166,12 +166,26 @@ class ExperimentContext:
     store: EmbeddingStore | None = None
     max_in_flight: int = 4
     rho: LabelFrequency = field(init=False)  # label_frequency of train
+    # the train split the index was built from, and the index; an init field
+    # so that dataclasses.replace hands it on instead of rebuilding it
+    knn_index: tuple[Dataset, CandidateIndex] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         check_in_flight(self.max_in_flight)
         self.rho = label_frequency(self.train)
         if self.lookup is not None:
             check_lookup(self.lookup, self.train)
+        if self.store is not None:
+            self.train_index()
+
+    def train_index(self) -> CandidateIndex:
+        """The train ids prepared for ranking against the store: built with
+        the context, and rebuilt only after the store or the train split was
+        replaced."""
+        built = self.knn_index
+        if built is None or built[0] is not self.train or built[1].store is not self.store:
+            built = self.knn_index = (self.train, build_index(self.store, self.train.ids()))
+        return built[1]
 
 
 @dataclass
@@ -197,14 +211,15 @@ def derive_seed(base_seed: int, *parts: str) -> int:
 def _ranking(
     ctx: ExperimentContext, needed_by: str, test: Example, rankings: dict[str, Ranking]
 ) -> Ranking:
-    """The test input's neighbour ranking over the train split: ranked the
-    first time a run needs it, then read from the run's ``rankings``.  Only
-    the calling thread selects demos, so each test input is ranked once."""
+    """The test input's neighbour ranking over the train split: ranked
+    against the context's train index the first time a run needs it, then
+    read from the run's ``rankings``.  Only the calling thread selects demos,
+    so each test input is ranked once."""
     ranking = rankings.get(test.id)
     if ranking is None:
         if ctx.store is None:
             raise NoEmbeddingStore(f"{needed_by} needs an embedding store")
-        ranking = rankings[test.id] = rank(ctx.store, test.id, ctx.train.ids(), knn_retrieve)
+        ranking = rankings[test.id] = rank(ctx.store, test.id, ctx.train_index(), knn_retrieve)
     return ranking
 
 

@@ -2,8 +2,11 @@
 
 Retrieval is a full scan plus sort: the pools this pipeline deals with are a
 few thousand vectors at most, so exactness is cheap and reproducible.  Ties
-break by ascending id.  A query is one matrix-vector product and one lexsort.
-A ``Ranking`` keeps one query's full order so that later queries with other
+break by ascending id.  A ``CandidateIndex`` is the candidate side of every
+ranking over one candidate list, built once: the candidates' rows in
+ascending-id order, their norms, and the candidates that cannot be scored.
+A query over it is one matrix-vector product and one stable sort.  A
+``Ranking`` keeps one query's full order so that later queries with other
 exclusions are a walk along it.
 """
 
@@ -12,7 +15,7 @@ from __future__ import annotations
 import json
 from array import array
 from dataclasses import dataclass
-from itertools import compress, filterfalse, islice
+from itertools import chain, compress, filterfalse, islice
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -50,7 +53,6 @@ class EmbeddingStore:
     matrix: np.ndarray
     row: dict[str, int]  # id -> row
     norms: np.ndarray
-    rank: np.ndarray  # each row's place among the sorted ids
     vectors: dict[str, np.ndarray]  # id -> row view, not a copy
 
     def __len__(self) -> int:
@@ -86,11 +88,9 @@ def build_store(items: Iterable[tuple[str, Sequence[float]]]) -> EmbeddingStore:
         buffer.frombytes(vec.tobytes())
     matrix = np.frombuffer(buffer, dtype=np.float64).reshape(len(row), max(dimension, 0))
     matrix.flags.writeable = False
-    rank = np.empty(len(row), dtype=np.intp)
-    rank[[row[i] for i in sorted(row)]] = np.arange(len(row))
     norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
     vectors = {entry_id: matrix[i] for entry_id, i in row.items()}
-    return EmbeddingStore(dimension, matrix, row, norms, rank, vectors)
+    return EmbeddingStore(dimension, matrix, row, norms, vectors)
 
 
 def load_embeddings(path: str | Path) -> EmbeddingStore:
@@ -125,32 +125,88 @@ def fetch_embeddings(
         return build_store((entry_id, backend.embed(text)) for entry_id, text in items)
 
 
+def _row(store: EmbeddingStore, entry_id: str) -> int:
+    try:
+        return store.row[entry_id]
+    except KeyError:
+        raise UnknownId(entry_id) from None
+
+
+@dataclass(frozen=True, eq=False)
+class CandidateIndex:
+    """One candidate list prepared for ranking any number of queries against
+    one store.  The candidates fall in three parts: those with a nonzero
+    vector (``ids``, ``rows`` and ``norms``, in ascending-id order with
+    duplicates kept), those with a zero vector, and those with none."""
+
+    store: EmbeddingStore
+    ids: np.ndarray  # scoreable candidates as an object array, ascending id
+    rows: np.ndarray  # their rows of store.matrix
+    norms: np.ndarray  # their norms
+    zero: tuple[str, ...]  # candidates with a zero vector
+    unknown: tuple[str, ...]  # candidates with no stored vector, in candidate order
+
+    def set_aside(self, query_id: str) -> tuple[str, ...]:
+        """The known candidates other than the query that it cannot score:
+        the zero ones, or every one when the query itself is zero."""
+        if self.store.norms[_row(self.store, query_id)]:
+            return self.zero
+        return tuple(i for i in chain(self.ids.tolist(), self.zero) if i != query_id)
+
+    def ranked(self, query_id: str) -> list[str]:
+        """The scoreable candidates other than the query, most cosine-similar
+        first, ties by ascending id.  einsum sums every row in the same order
+        (a BLAS kernel may not), so identical vectors tie exactly, and the
+        stable sort keeps tied candidates in the index's ascending-id order."""
+        store = self.store
+        query = _row(store, query_id)
+        if not store.norms[query]:
+            return []
+        dots = np.einsum("ij,j->i", store.matrix, store.matrix[query])[self.rows]
+        scores = dots / (self.norms * store.norms[query])
+        order = np.argsort(-scores, kind="stable")
+        return self.ids[order[self.rows[order] != query]].tolist()
+
+
+def build_index(store: EmbeddingStore, candidate_ids: Iterable[str]) -> CandidateIndex:
+    """candidate_ids prepared for ranking against store, in one pass over them."""
+    known: list[str] = []
+    unknown: list[str] = []
+    for entry_id in candidate_ids:
+        (known if entry_id in store.row else unknown).append(entry_id)
+    known.sort()
+    rows = np.fromiter(map(store.row.__getitem__, known), dtype=np.intp, count=len(known))
+    norms = store.norms[rows]
+    scoreable = norms != 0
+    ids = np.array(known, dtype=object)[scoreable]
+    zero = tuple(compress(known, ~scoreable))
+    return CandidateIndex(store, ids, rows[scoreable], norms[scoreable], zero, tuple(unknown))
+
+
+def _indexed(store: EmbeddingStore, candidates: Iterable[str] | CandidateIndex) -> CandidateIndex:
+    if not isinstance(candidates, CandidateIndex):
+        return build_index(store, candidates)
+    if candidates.store is not store:
+        raise ValueError("the candidate index was built over another store")
+    return candidates
+
+
 def knn_retrieve(
     store: EmbeddingStore,
     query_id: str,
     k: int,
-    candidate_ids: Sequence[str],
+    candidate_ids: Sequence[str] | CandidateIndex,
     exclude_ids: Iterable[str] = (),
 ) -> list[str]:
     """The k candidates most cosine-similar to the query, descending, ties by
     ascending id.  The query itself and excluded ids never appear; fewer than
-    k come back only when the pool runs out.  einsum sums every row in the
-    same order (a BLAS kernel may not), so identical vectors tie exactly."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    excluded = set(exclude_ids) | {query_id}
-    ids = list(filterfalse(excluded.__contains__, candidate_ids))
-    try:
-        query = store.row[query_id]
-        rows = np.fromiter(map(store.row.__getitem__, ids), dtype=np.intp, count=len(ids))
-    except KeyError as exc:
-        raise UnknownId(exc.args[0]) from None
-    if rows.size and not (store.norms[query] and store.norms[rows].all()):
-        raise ZeroNorm("cosine undefined for a zero vector")
-    dots = np.einsum("ij,j->i", store.matrix, store.matrix[query])[rows]
-    scores = dots / (store.norms[rows] * store.norms[query])
-    order = np.lexsort((store.rank[rows], -scores))
-    return [ids[i] for i in order[:k]]
+    k come back only when the pool runs out.  Every candidate left after the
+    exclusions needs a stored vector (else UnknownId), and it and the query
+    a nonzero one (else ZeroNorm).  candidate_ids may be a CandidateIndex
+    over the store, built once for many queries."""
+    index = _indexed(store, candidate_ids)
+    ranking = Ranking(index.ranked(query_id), index.set_aside(query_id), index.unknown)
+    return ranking.take(k, exclude_ids)
 
 
 @dataclass(frozen=True)
@@ -161,7 +217,7 @@ class Ranking:
     exclusions is filtering the full ranking.  Candidates that knn_retrieve
     would refuse are set aside and raise only when a take considers them."""
 
-    ranked: tuple[str, ...]  # scoreable candidates other than the query, best first
+    ranked: list[str]  # scoreable candidates other than the query, best first
     zero: tuple[str, ...]  # zero-norm candidates; every known one when the query is zero
     unknown: tuple[str, ...]  # candidates with no stored vector, in candidate order
 
@@ -175,27 +231,23 @@ class Ranking:
             raise UnknownId(unknown)
         if not excluded.issuperset(self.zero):
             raise ZeroNorm("cosine undefined for a zero vector")
-        return list(islice(filterfalse(excluded.__contains__, self.ranked), k))
+        if excluded:
+            return list(islice(filterfalse(excluded.__contains__, self.ranked), k))
+        return self.ranked[:k]
 
 
 def rank(
     store: EmbeddingStore,
     query_id: str,
-    candidate_ids: Sequence[str],
+    candidate_ids: Sequence[str] | CandidateIndex,
     retrieve: Callable[..., list[str]] = knn_retrieve,
 ) -> Ranking:
-    """The query's Ranking over candidate_ids, scored by one ``retrieve``
-    call (knn_retrieve; a caller passes its own binding of it so that a
-    wrapper there sees each ranking).  Raises UnknownId for an unknown query."""
-    if query_id not in store.row:
-        raise UnknownId(query_id)
-    unknown = tuple(i for i in candidate_ids if i not in store.row)
-    known = [i for i in candidate_ids if i in store.row and i != query_id]
-    rows = np.fromiter(map(store.row.__getitem__, known), dtype=np.intp, count=len(known))
-    if store.norms[store.row[query_id]]:
-        scoreable = store.norms[rows] != 0
-    else:  # a zero query scores nothing, so every candidate it considers raises
-        scoreable = np.zeros(len(known), dtype=bool)
-    scored = list(compress(known, scoreable))
-    ranked = retrieve(store, query_id, len(scored), scored)
-    return Ranking(tuple(ranked), tuple(compress(known, ~scoreable)), unknown)
+    """The query's Ranking over candidate_ids (a list, or a CandidateIndex
+    over the store), scored by one ``retrieve`` call with the candidates it
+    cannot score excluded (knn_retrieve; a caller passes its own binding of
+    it so that a wrapper there sees each ranking).  Raises UnknownId for an
+    unknown query."""
+    index = _indexed(store, candidate_ids)
+    set_aside = index.set_aside(query_id)
+    ranked = retrieve(store, query_id, len(index.ids), index, set_aside + index.unknown)
+    return Ranking(ranked, set_aside, index.unknown)

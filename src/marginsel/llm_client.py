@@ -419,10 +419,3 @@ def complete_all(
     while batch := list(itertools.islice(prompts, REQUEST_BATCH)):
         yield from (reply for reply, _ in pool_map(lambda p: backend.complete(*p), batch, pool))
 
-
-def map_concurrently(
-    fn: Callable[[T], U], items: Sequence[T], max_in_flight: int
-) -> list[U]:
-    """pool_map through a request pool of its own."""
-    with request_pool(max_in_flight) as pool:
-        return pool_map(fn, items, pool)

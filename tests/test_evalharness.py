@@ -232,6 +232,31 @@ def test_marginsel_fallback_to_knn():
     assert record["demo_ids"] == want
 
 
+def test_rankings_follow_a_replaced_store_or_train_split():
+    # The context builds its train index once; dataclasses.replace hands it
+    # on, and replacing the store or the train split rebuilds it.
+    from marginsel.knn import build_store
+
+    ctx = planted_pipeline()
+    test = ctx.test.examples[0]
+    train_ids = [e.id for e in ctx.train.examples]
+    index = ctx.train_index()
+    assert index.store is ctx.store
+    assert replace(ctx, backend=ctx.backend).train_index() is index
+    _, before = predict_one(ctx, MethodSpec("knn"), 4, test, seed=0)
+    assert before["demo_ids"] == knn_retrieve(ctx.store, test.id, 4, train_ids)
+    ctx.store = build_store([(i, [-x for x in v] if i == test.id else list(v))
+                             for i, v in ctx.store.vectors.items()])
+    _, after = predict_one(ctx, MethodSpec("knn"), 4, test, seed=0)
+    assert ctx.train_index().store is ctx.store
+    assert after["demo_ids"] == knn_retrieve(ctx.store, test.id, 4, train_ids)
+    assert after["demo_ids"] != before["demo_ids"]
+    fewer = make_dataset(ctx.space, [(e.id, e.text, e.gold) for e in ctx.train.examples[::2]])
+    halved_ctx = replace(ctx, train=fewer, lookup=None)
+    _, halved = predict_one(halved_ctx, MethodSpec("knn"), 4, test, seed=0)
+    assert halved["demo_ids"] == knn_retrieve(ctx.store, test.id, 4, train_ids[::2])
+
+
 def test_marginsel_alpha1_hard_only():
     ctx = planted_pipeline()
     test = ctx.test.examples[0]

@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from marginsel.knn import (
@@ -10,6 +11,7 @@ from marginsel.knn import (
     Ranking,
     UnknownId,
     ZeroNorm,
+    build_index,
     build_store,
     fetch_embeddings,
     knn_retrieve,
@@ -277,3 +279,94 @@ def test_fetch_embeddings_via_endpoint(monkeypatch):
     assert store.dimension == 2
     assert list(store.get("a")) == [2.0, 1.0]
     assert list(store.get("b")) == [4.0, 1.0]
+
+
+def _lexsort_retrieve(store, query_id, k, candidate_ids, exclude_ids=()):
+    """Reference: the candidates filtered per query, scored against the whole
+    matrix and ordered by one lexsort on (negated score, place among the
+    sorted ids); refusals as knn_retrieve documents them."""
+    excluded = set(exclude_ids) | {query_id}
+    ids = [i for i in candidate_ids if i not in excluded]
+    for entry_id in [query_id, *ids]:
+        if entry_id not in store.row:
+            raise UnknownId(entry_id)
+    rows = np.array([store.row[i] for i in ids], dtype=np.intp)
+    query = store.row[query_id]
+    if rows.size and not (store.norms[query] and store.norms[rows].all()):
+        raise ZeroNorm("cosine undefined for a zero vector")
+    dots = np.einsum("ij,j->i", store.matrix, store.matrix[query])[rows]
+    scores = dots / (store.norms[rows] * store.norms[query])
+    place = {entry_id: n for n, entry_id in enumerate(sorted(store.row))}
+    order = np.lexsort((np.array([place[i] for i in ids], dtype=np.intp), -scores))
+    return [ids[i] for i in order[:k]]
+
+
+def _index_instance(rng, n, dim):
+    """A store of n rows with identical vectors at rows 0, 1, 1999 (when
+    there) and the last row under ids in the reverse of row order, and two
+    zero rows; a candidate list of most of its ids (the query's sometimes
+    among them), two ids with no vector, and one id twice."""
+    items = [(f"p{i:04d}", [rng.uniform(-1, 1) for _ in range(dim)]) for i in range(n)]
+    dup = [rng.uniform(-1, 1) for _ in range(dim)]
+    dup_rows = sorted({0, 1, min(1999, n - 1), n - 1})
+    for j, row in enumerate(dup_rows):
+        items[row] = (f"dup-{len(dup_rows) - j}", dup)
+    for row in rng.sample([r for r in range(2, n - 1) if r not in dup_rows], 2):
+        items[row] = (f"zero-{row}", [0.0] * dim)
+    store = build_store(items)
+    ids = [i for i, _ in items]
+    candidates = [i for i in ids if rng.random() < 0.9]
+    candidates += ["ghost-b", "ghost-a", rng.choice(candidates)]
+    rng.shuffle(candidates)
+    return store, ids, candidates
+
+
+def test_index_ranking_equals_knn_retrieve_and_the_lexsort_reference():
+    # A ranking against a CandidateIndex answers every take(k, exclude) as
+    # knn_retrieve over the plain list and the lexsort reference do: the same
+    # ids, or the same refusal with the same id.  Queries: a zero vector, a
+    # duplicated vector, candidates and non-candidates, and an unknown id.
+    rng = random.Random(1212)
+    kinds = Counter()
+    for n, dim in ((2000, 6), (2003, 4), (40, 3), (7, 2)):
+        store, ids, candidates = _index_instance(rng, n, dim)
+        index = build_index(store, candidates)
+        zero = [i for i in ids if i.startswith("zero-")]
+        member = next(i for i in candidates if i.startswith("p"))
+        queries = [zero[0], "dup-1", "nobody", member, *rng.sample(ids, 4)]
+        for query in queries:
+            ranking = _outcome(lambda: rank(store, query, index))
+            for _ in range(6):
+                k = rng.choice([0, 1, rng.randint(0, len(candidates)), len(candidates)])
+                exclude = set(rng.sample(candidates, rng.randint(0, 5)))
+                if rng.random() < 0.6:
+                    exclude |= set(zero)
+                if rng.random() < 0.6:
+                    exclude |= {"ghost-a", "ghost-b"}
+                if query == zero[0] and rng.random() < 0.3:
+                    exclude = set(candidates)
+                want = _outcome(lambda: _lexsort_retrieve(store, query, k, candidates, exclude))
+                assert _outcome(lambda: knn_retrieve(store, query, k, candidates, exclude)) == want
+                assert _outcome(lambda: knn_retrieve(store, query, k, index, exclude)) == want
+                if isinstance(ranking, Ranking):
+                    got = _outcome(lambda: ranking.take(k, exclude))
+                else:
+                    got = ranking
+                assert got == want, (n, query, k, sorted(exclude))
+                kinds[want[0] if isinstance(want, tuple) else "ids" if want else "empty"] += 1
+        # the duplicated vectors tie exactly and come back in ascending id order
+        dups = sorted(i for i in candidates if i.startswith("dup-") and i != "dup-1")
+        near = knn_retrieve(store, "dup-1", len(candidates), index, zero + ["ghost-a", "ghost-b"])
+        assert near[:len(dups)] == dups
+    assert min(kinds[kind] for kind in ("ids", "empty", "UnknownId", "ZeroNorm")) >= 5, kinds
+
+
+def test_index_refuses_another_store():
+    store = build_store([("q", [1, 0]), ("a", [1, 1])])
+    other = build_store([("q", [1, 0]), ("a", [1, 1])])
+    index = build_index(store, ["a"])
+    assert rank(store, "q", index).take(1) == ["a"]
+    with pytest.raises(ValueError):
+        rank(other, "q", index)
+    with pytest.raises(ValueError):
+        knn_retrieve(other, "q", 1, index)

@@ -25,8 +25,9 @@ from marginsel.llm_client import (
     Timeout,
     Transport,
     backend_calls,
-    map_concurrently,
     mock_multilabel,
+    pool_map,
+    request_pool,
 )
 
 SST5 = LabelSpace(["very negative", "negative", "neutral", "positive", "very positive"])
@@ -181,7 +182,8 @@ def test_http_backend_counts_its_calls(server):
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            map_concurrently(lambda i: backend.complete("s", f"u{i}"), range(16), 8)
+            with request_pool(8) as pool:
+                pool_map(lambda i: backend.complete("s", f"u{i}"), range(16), pool)
         finally:
             sys.setswitchinterval(switch)
         assert backend_calls(backend) == 18
@@ -397,7 +399,8 @@ def test_cache_counters_lose_no_update_under_threads(tmp_path):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        map_concurrently(lambda user: backend.complete("s", user), prompts, 8)
+        with request_pool(8) as pool:
+            pool_map(lambda user: backend.complete("s", user), prompts, pool)
     finally:
         sys.setswitchinterval(interval)
     assert backend.hits + backend.misses == len(prompts)
@@ -407,14 +410,15 @@ def test_cache_counters_lose_no_update_under_threads(tmp_path):
 _WRITER = """
 import sys, time
 from marginsel.core import LabelSpace
-from marginsel.llm_client import CachedBackend, MockBackend, MockRule, map_concurrently
+from marginsel.llm_client import CachedBackend, MockBackend, MockRule, pool_map, request_pool
 space = LabelSpace(["very negative", "negative", "neutral", "positive", "very positive"])
 rule = MockRule({"x": frozenset({"positive"})}, default="neutral")
 cache = CachedBackend(MockBackend(rule, space), sys.argv[1])
 first, count, start_at = int(sys.argv[2]), int(sys.argv[3]), float(sys.argv[4])
 time.sleep(max(0.0, start_at - time.time()))
-map_concurrently(lambda i: cache.complete("s", f"x {i} " + "pad " * 1000 * (i % 4)),
-                 range(first, first + count), 4)
+with request_pool(4) as pool:
+    pool_map(lambda i: cache.complete("s", f"x {i} " + "pad " * 1000 * (i % 4)),
+             range(first, first + count), pool)
 print(cache.misses)
 """
 

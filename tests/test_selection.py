@@ -1,5 +1,7 @@
 import random
+import sys
 
+import numpy as np
 import pytest
 
 from marginsel.core import (
@@ -250,6 +252,39 @@ def test_weighted_sample_cap_takes_the_last_remaining_entry(monkeypatch):
     got = [e.example.id for e in weighted_sample(Pool(rows), 3, rho, seed=0)]
     want = oracle_draw([(e.example.id, e.example.gold) for e in rows], rho.proportions, 3, 0)
     assert got == want == ["d", "c", "b"]
+
+
+def test_weighted_sample_carries_exact_cumulative_sums(monkeypatch):
+    # The cumulative weights a draw carries from pick to pick must equal, bit
+    # for bit, a fresh cumsum over the weights left (picked slots zeroed):
+    # an ulp off moves a pick whenever r lands on a boundary, which no replay
+    # of random draws is likely to hit.  The rng stub reads the draw's arrays
+    # from weighted_sample's frame before every draw after the first.
+    real = random.Random
+    checked = []
+
+    class Checking:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def random(self):
+            state = sys._getframe(1).f_locals
+            weights, cumulative = state["weights"], state["cumulative"]
+            if not weights.all():
+                assert cumulative.tobytes() == np.cumsum(weights).tobytes()
+                checked.append(len(weights) - np.count_nonzero(weights))
+            return self.rng.random()
+
+    monkeypatch.setattr(selection_module.random, "Random", Checking)
+    space = LabelSpace(["l1", "l2", "l3", "l4", "l5"])
+    rho = _rho(l1=0.40, l2=0.25, l3=0.17, l4=0.11, l5=0.07)
+    rng = real(23)
+    for n in (2, 3, 9, 40, 300):
+        for trial in range(20):
+            golds = rng.choices(space.labels, weights=[40, 25, 17, 11, 7], k=n)
+            pool = Pool([entry(f"e{i}", g, "11111", space) for i, g in enumerate(golds)])
+            weighted_sample(pool, min(n - 1, 24), rho, seed=trial)
+    assert len(checked) > 1000 and max(checked) == 23
 
 
 def test_hard_draw_prefixes_equal_weighted_sample():
