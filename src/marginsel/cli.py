@@ -413,9 +413,10 @@ def _parse_methods(raw: list) -> list[MethodSpec]:
 
 def cmd_eval(config: dict, args) -> int:
     methods = _parse_methods(config["eval"]["methods"])
-    ctx = _context(config, methods, config["eval"]["fallback"])
+    cfg = RunConfig(**{**config["eval"], "methods": methods})
+    ctx = _context(config, methods, cfg.fallback)
     with _closing(ctx.backend):
-        report = run_experiment(ctx, RunConfig(**{**config["eval"], "methods": methods}))
+        report = run_experiment(ctx, cfg)
     for row in report.summary:
         marker = " *" if row.get("significant_vs_baseline") else ""
         print(
@@ -438,9 +439,10 @@ def _finish(ctx: ExperimentContext, failed_cells: list[dict]) -> int:
 def cmd_sweep(config: dict, args) -> int:
     alphas = config["sweep"]["alphas"]
     methods = [MethodSpec("marginsel", alpha=a) for a in alphas]
-    ctx = _context(config, methods, config["eval"]["fallback"])
+    cfg = RunConfig(**{**config["eval"], "methods": methods})
+    ctx = _context(config, methods, cfg.fallback)
     with _closing(ctx.backend):
-        rows = alpha_sweep(ctx, RunConfig(**{**config["eval"], "methods": methods}), alphas)
+        rows = alpha_sweep(ctx, cfg, alphas)
     for row in rows:
         mean = row["mean_macro_f1"]
         shown = "error" if mean is None else f"{mean:.4f}"

@@ -15,12 +15,11 @@ import hashlib
 import itertools
 import json
 import logging
+import numbers
 import random
 import statistics
-from collections import defaultdict
 from concurrent.futures import Executor
 from dataclasses import dataclass, field, replace
-from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -52,8 +51,8 @@ from .prompting import (
 from .selection import (
     DemoSet,
     EmptySelection,
-    HardDraw,
     LookupTable,
+    PrefixDraw,
     SelectionConfig,
     assign_candidates,
     check_lookup,
@@ -124,6 +123,10 @@ class MethodSpec:
             raise ValueError(f"unknown method {self.name!r}")
         if self.name == MARGINSEL and self.alpha is None:
             raise ValueError("marginsel needs an alpha")
+        if self.alpha is not None and (
+                isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real)
+                or not 0.0 <= self.alpha <= 1.0):
+            raise ValueError(f"alpha must be a real number in [0, 1], not {self.alpha!r}")
 
     def label(self) -> str:
         if self.name == MARGINSEL:
@@ -143,8 +146,12 @@ class RunConfig:
     def __post_init__(self):
         if not self.methods:
             raise ValueError("at least one method required")
-        if not self.seeds:
-            raise ValueError("at least one seed required")
+        for name, values in (("shots", self.shots), ("seeds", self.seeds)):
+            if (not isinstance(values, (list, tuple)) or not values
+                    or any(isinstance(v, bool) or not isinstance(v, int) for v in values)
+                    or len(set(values)) < len(values)):
+                raise ValueError(f"{name} must be a non-empty list of distinct integers, "
+                                 f"not {values!r}")
         if any(s < 1 for s in self.shots):
             raise ValueError("shot counts must be positive")
         if self.fallback not in (FALLBACK_KNN, FALLBACK_RANDOM):
@@ -231,12 +238,46 @@ def _knn_demos(
     return [(ctx.train.by_id(i), "knn") for i in ids]
 
 
+class Draws(dict):
+    """A run's draw orders by (stream, test id, seed), where the stream is
+    the tag the draw's seed is derived with: "marginsel" for the hard draw,
+    "random" for the random method's uniform draw and "fallback" for the
+    random fallback's.  Each order is created as deep as its stream's depth
+    in ``depths``; a stream without one draws as deep as its first read."""
+
+    def __init__(self, depths: dict[str, int] | None = None):
+        super().__init__()
+        self.depths = depths or {}
+
+    def __missing__(self, key: tuple[str, str, int]) -> PrefixDraw:
+        draw = self[key] = PrefixDraw(self.depths.get(key[0], 0))
+        return draw
+
+
+def _uniform_draw(population: Sequence, depth: int, seed: int) -> list:
+    """depth distinct members of population, drawn uniformly without
+    replacement: random.Random(seed) draws randrange(len(population)) until
+    it holds depth distinct indices, drawing again on a repeat.  That is step
+    for step the loop random.sample runs in its set branch (more than 21 rows
+    at up to 5 picks, more than 85 rows at up to 21), so there the two draw
+    the same picks, and a shorter draw is always a prefix of a deeper one."""
+    rng = random.Random(seed)
+    picked: dict[int, None] = {}
+    while len(picked) < depth:
+        picked.setdefault(rng.randrange(len(population)))
+    return [population[j] for j in picked]
+
+
 def _random_demos(
-    ctx: ExperimentContext, tag: str, shots: int, test: Example, seed: int
+    ctx: ExperimentContext, stream: str, shots: int, test: Example, seed: int, draws: Draws
 ) -> list[tuple[Example, str]]:
-    """Uniform demos drawn with the seed derived from (seed, tag, test id)."""
-    rng = random.Random(derive_seed(seed, tag, test.id))
-    picked = rng.sample(ctx.train.examples, min(shots, len(ctx.train)))
+    """The first ``shots`` uniform demos of the test input's draw for
+    (stream, seed) in the run's ``draws``, seeded from (seed, stream, test
+    id); the whole train split when it holds no more than shots."""
+    examples = ctx.train.examples
+    picked = draws[stream, test.id, seed].take(
+        shots, len(examples),
+        lambda depth: _uniform_draw(examples, depth, derive_seed(seed, stream, test.id)))
     return [(ex, "random") for ex in picked]
 
 
@@ -248,21 +289,22 @@ def marginsel_demos(
     seed: int,
     step1: CandidateSet | None,
     rankings: dict[str, Ranking],
-    draws: dict[tuple[str, int], HardDraw] | None = None,
+    draws: Draws | None = None,
 ) -> DemoSet:
     """MarginSel's demonstrations for one test input, composed here and only
     here so that ``select`` shows what ``predict`` and ``eval`` use:
     select_demos over the lookup table with the test's step-1 candidate set
     (None or empty when assignment failed), the draw seeded from (seed,
     "marginsel", test id) and, when alpha < 1, the test's neighbour ranking
-    from ``rankings``.  The hard picks are a prefix of the test's draw order
-    for the seed in the run's ``draws``, or of a fresh one without it.
+    from ``rankings``.  The hard picks are a prefix of the test's
+    ("marginsel", test id, seed) draw order in the run's ``draws``, or of a
+    fresh one without it.
     Raises EmptySelection at alpha = 1 when nothing matches."""
     cfg = SelectionConfig(alpha, shots, derive_seed(seed, MARGINSEL, test.id))
     neighbours = None
     if alpha < 1.0:
         neighbours = _ranking(ctx, "marginsel at alpha < 1", test, rankings)
-    draw = None if draws is None else draws[test.id, seed]
+    draw = None if draws is None else draws[MARGINSEL, test.id, seed]
     return select_demos(ctx.lookup, step1, neighbours, ctx.rho, cfg, draw)
 
 
@@ -275,12 +317,12 @@ def _choose_demos(
     fallback_policy: str,
     step1: CandidateSet | None,
     rankings: dict[str, Ranking],
-    draws: dict[tuple[str, int], HardDraw] | None,
+    draws: Draws,
 ) -> tuple[list[tuple[Example, str]], bool]:
     """Demos as (example, source) pairs, and whether the fallback fired.
     step1 is the test's assignment-step candidate set (marginsel only)."""
     if method.name == RANDOM:
-        return _random_demos(ctx, "random", shots, test, seed), False
+        return _random_demos(ctx, "random", shots, test, seed, draws), False
     if method.name == KNN_METHOD:
         return _knn_demos(ctx, "knn method", shots, test, rankings), False
     try:
@@ -288,7 +330,7 @@ def _choose_demos(
     except EmptySelection:
         if fallback_policy == FALLBACK_KNN:
             return _knn_demos(ctx, "knn fallback", shots, test, rankings), True
-        return _random_demos(ctx, "fallback", shots, test, seed), True
+        return _random_demos(ctx, "fallback", shots, test, seed, draws), True
     return [(e.example, e.source) for e in demo_set], False
 
 
@@ -301,7 +343,7 @@ def _predict(
     fallback_policy: str,
     step1: dict[str, CandidateSet],
     rankings: dict[str, Ranking],
-    draws: dict[tuple[str, int], HardDraw] | None,
+    draws: Draws,
     pool: Executor | None,
 ) -> list[dict]:
     """Stages 2-4 for one cell's test inputs: select every input's demos
@@ -310,8 +352,8 @@ def _predict(
     predicts the INVALID token.  step1 holds marginsel's assignment-step
     candidate sets by test id; rankings is the run's table of neighbour
     rankings by test id, which kNN fills and reads; draws is the run's table
-    of hard draw orders by (test id, seed), which marginsel fills and
-    reads."""
+    of draw orders by (stream, test id, seed), which marginsel and the
+    uniform draws fill and read."""
     records = []
     inputs = []  # (demo (text, gold) pairs, test text) per record
     for test in tests:
@@ -352,13 +394,15 @@ def predict_one(
 ) -> tuple[str, dict]:
     """Predict one test example with the stages of a run, every request on
     the calling thread: step 1 (marginsel only), demos per method, the final
-    prompt and its single-label reply."""
+    prompt and its single-label reply.  Each draw goes ``shots`` deep, which
+    is the prefix a run's deeper draw gives this cell."""
     step1: dict[str, CandidateSet] = {}
     if method.name == MARGINSEL:
         [step1[test.id]] = assign_candidates(
             ctx.backend, ctx.candidate_template, [test.text], ctx.space
         )
-    [record] = _predict(ctx, method, shots, seed, [test], fallback_policy, step1, {}, None, None)
+    [record] = _predict(
+        ctx, method, shots, seed, [test], fallback_policy, step1, {}, Draws(), None)
     return record["predicted"], record
 
 
@@ -395,7 +439,9 @@ def run_experiment(ctx: ExperimentContext, cfg: RunConfig) -> RunReport:
     once per test example per run, when a marginsel cell first needs it, and
     so does the test example's neighbour ranking, when kNN first needs it.
     A test example's hard draw order is drawn once per seed, as deep as the
-    grid's largest hard quota, and every marginsel cell reads a prefix of it.
+    grid's largest hard quota, and so are its uniform draws for the random
+    method and the random fallback, as deep as the largest shot count; every
+    cell reads a prefix of them.
     One request pool of ``ctx.max_in_flight`` workers serves the whole run;
     only backend requests run in it, and everything else runs here, cell by
     cell in grid order."""
@@ -420,10 +466,13 @@ def run_experiment(ctx: ExperimentContext, cfg: RunConfig) -> RunReport:
     encode = _line if records_path else lambda record: ""
     step1: dict[str, CandidateSet] = {}  # test id -> step-1 candidate set
     rankings: dict[str, Ranking] = {}  # test id -> neighbour ranking over train
-    depth = max((round_half_up(m.alpha * shot) for m in cfg.methods if m.name == MARGINSEL
-                 for shot in cfg.shots), default=0)
-    # (test id, seed) -> hard draw order, as deep as the largest hard quota
-    draws: dict[tuple[str, int], HardDraw] = defaultdict(partial(HardDraw, depth))
+    top = max(cfg.shots)
+    draws = Draws({
+        MARGINSEL: max((round_half_up(m.alpha * shot) for m in cfg.methods
+                        if m.name == MARGINSEL for shot in cfg.shots), default=0),
+        "random": top,
+        "fallback": top,
+    })
     all_records: list[tuple[dict, str]] = []  # (record, its line)
     cells: list[dict] = []
     with request_pool(ctx.max_in_flight) as pool:

@@ -10,9 +10,10 @@ remaining slots are filled by cosine kNN over the training set (never when
 alpha = 1).  Hard picks precede kNN picks in the returned set.
 
 The draw's seed does not depend on alpha or n, so a run draws each test
-input's order once per seed (a ``HardDraw``) and every cell reads its hard
+input's order once per seed (a ``PrefixDraw``) and every cell reads its hard
 picks as a prefix of that order: the first k picks of a deeper draw are the
-picks of a k-draw.
+picks of a k-draw.  The random baseline's uniform draws are read the same
+way.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import random
 from concurrent.futures import Executor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -288,31 +289,42 @@ def weighted_sample(
     return picked
 
 
-class HardDraw:
-    """One test input's 1/rho draw order for one seed, drawn by a single
-    weighted_sample call at least ``depth`` deep and read as prefixes.  It
-    keeps the picks only, and serves one pool and seed.  A draw that raises
-    (a label with no frequency) keeps nothing, so every later take raises
-    too."""
+class PrefixDraw:
+    """One draw order, drawn once and read as prefixes: the first k picks of
+    a deeper draw must be the picks of a k-draw.  It is drawn at least
+    ``depth`` deep, so that a run's deepest read draws it only once, and it
+    keeps the picks only.  A draw that raises keeps nothing, so every later
+    take raises too."""
 
     __slots__ = ("depth", "picks")
 
     def __init__(self, depth: int = 0):
         self.depth = depth
-        self.picks: list[LookupEntry] | None = None
+        self.picks: list | None = None
 
-    def take(self, pool: Pool, k: int, rho: LabelFrequency, seed: int) -> list[LookupEntry]:
-        """weighted_sample(pool, k, rho, seed), from the order drawn so far
-        when it is deep enough.  A pool that fits in k is returned whole, so
-        the order never goes deeper than len(pool) - 1."""
-        if not pool:
-            return []
-        fits = len(pool) <= k
-        need = 0 if fits else k
-        if self.picks is None or len(self.picks) < need:
-            depth = min(max(self.depth, need), len(pool) - 1)
-            self.picks = weighted_sample(pool, depth, rho, seed)
-        return list(pool) if fits else self.picks[:k]
+    def take(self, k: int, size: int, draw: Callable[[int], list]) -> list:
+        """The first k picks of the order over ``size`` items that draw(n)
+        draws n deep.  The order is drawn, as deep as ``depth`` or k and
+        never deeper than size, only when the order so far is shorter than
+        min(k, size)."""
+        if self.picks is None or len(self.picks) < min(k, size):
+            self.picks = draw(min(max(self.depth, k), size))
+        return self.picks[:k]
+
+
+def hard_picks(
+    draw: PrefixDraw, pool: Pool, k: int, rho: LabelFrequency, seed: int
+) -> list[LookupEntry]:
+    """weighted_sample(pool, k, rho, seed), read off ``draw``, the pool's
+    order for the seed.  A pool that fits in k is returned whole, so the
+    order never goes deeper than len(pool) - 1; it is still drawn, so that a
+    label with no frequency raises."""
+    if not pool:
+        return []
+    fits = len(pool) <= k
+    picks = draw.take(0 if fits else k, len(pool) - 1,
+                      lambda depth: weighted_sample(pool, depth, rho, seed))
+    return list(pool) if fits else picks
 
 
 def select_demos(
@@ -321,7 +333,7 @@ def select_demos(
     neighbours: Ranking | None,
     rho: LabelFrequency,
     cfg: SelectionConfig,
-    draw: HardDraw | None = None,
+    draw: PrefixDraw | None = None,
 ) -> DemoSet:
     """Compose the demonstration set for one test input.
 
@@ -346,8 +358,8 @@ def select_demos(
     else:
         matched = match_hard(table, test_candidates)
     if draw is None:
-        draw = HardDraw()
-    hard = draw.take(matched, quota, rho, cfg.seed) if quota else []
+        draw = PrefixDraw()
+    hard = hard_picks(draw, matched, quota, rho, cfg.seed) if quota else []
 
     if cfg.alpha == 1.0:
         if not matched:

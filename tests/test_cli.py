@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from marginsel import cli
@@ -520,6 +523,37 @@ def test_max_in_flight_must_be_a_positive_int(tmp_path, capsys):
         if command == "assign":
             assert not (tmp_path / "lookup.jsonl").exists()
             assert main(["--config", str(config_path), "assign"]) == 0
+
+
+def test_shots_seeds_and_alphas_must_be_well_typed(tmp_path, capsys):
+    # with a lookup table in place, each bad value is refused by its own
+    # check, before any request reaches the cached backend
+    config_path = make_workspace(tmp_path)
+    assert main(["--config", str(config_path), "assign"]) == 0
+    cached = (tmp_path / "cache" / "responses.jsonl").read_bytes()
+    for override, command in (
+        ("eval.shots=[]", "eval"), ("eval.shots=[2.5]", "eval"), ('eval.shots=["3"]', "eval"),
+        ("eval.shots=[true]", "eval"), ("eval.shots=[2, 2]", "eval"),
+        ("eval.seeds=[1, 1]", "eval"), ('eval.seeds=[1, "1"]', "eval"),
+        ('sweep.alphas=["a"]', "sweep"), ("sweep.alphas=[true]", "sweep"),
+        ("sweep.alphas=[1.5]", "sweep"),
+    ):
+        capsys.readouterr()
+        assert main(["--config", str(config_path), "--set", override, command]) == 2, override
+        err = capsys.readouterr().err
+        assert "config error" in err and ("shot" in err or "seeds" in err or "alpha" in err), err
+    assert not (tmp_path / "runs").exists()
+    assert (tmp_path / "cache" / "responses.jsonl").read_bytes() == cached
+
+
+def test_python_m_marginsel_runs_the_cli():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "marginsel", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "theory-check" in done.stdout
 
 
 def test_a_bad_dataset_line_names_the_file_and_line(tmp_path, capsys):

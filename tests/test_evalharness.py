@@ -6,6 +6,7 @@ import threading
 import warnings
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from scipy import stats as scipy_stats
@@ -541,6 +542,92 @@ def test_each_test_input_is_drawn_once_per_seed(monkeypatch):
     assert drawn == expected + expected
 
 
+def _uniform_grid(n_train_per_sig, out_dir=None):
+    """The random method and the random fallback (gamma inputs have no
+    step-1 set) over shots 1-16: a context, a config and the run's report."""
+    ctx = planted_pipeline(n_train_per_sig=n_train_per_sig)
+    ctx.backend = NoStep1For(ctx.backend, "gammasig")
+    cfg = RunConfig(
+        methods=[MethodSpec("random"), MethodSpec("marginsel", alpha=1.0)],
+        shots=list(range(1, 17)),
+        seeds=[1, 2],
+        fallback="random",
+        out_dir=out_dir,
+    )
+    return ctx, cfg
+
+
+def _stream(record):
+    return "random" if record["method"] == "random" else "fallback"
+
+
+def test_each_uniform_draw_is_seeded_once_per_seed(monkeypatch):
+    # The random method and the random fallback seed one generator per
+    # (stream, test input, seed) over every shot count of a run.
+    seeded = Counter()
+
+    class Counted(random.Random):
+        def __init__(self, seed=None):
+            seeded[seed] += 1
+            super().__init__(seed)
+
+    ctx, cfg = _uniform_grid(8)
+    cfg = replace(cfg, shots=[2, 4, 6, 8, 10])
+    monkeypatch.setattr(random, "Random", Counted)
+    report = run_experiment(ctx, cfg)
+    monkeypatch.undo()
+    assert not report.failed_cells
+    drawn = {(_stream(r), r["id"], r["seed"]) for r in report.records
+             if r["method"] == "random" or r["fallback"]}
+    assert len(drawn) == 2 * 9 + 2 * 3
+    uniform = {derive_seed(seed, stream, ex.id): (stream, ex.id, seed)
+               for stream in ("random", "fallback") for ex in ctx.test.examples
+               for seed in cfg.seeds}
+    assert Counter({uniform[s]: n for s, n in seeded.items() if s in uniform}) == Counter(drawn)
+
+
+@pytest.mark.parametrize("n_train_per_sig", [8, 30])
+def test_uniform_demos_are_prefixes_of_one_draw(n_train_per_sig):
+    # Every shot count's uniform demos are a prefix of the deepest draw, and
+    # predict shows the demos eval used.  Above 85 train rows they are the
+    # picks of random.Random(derive_seed(seed, stream, id)).sample.
+    ctx, cfg = _uniform_grid(n_train_per_sig)
+    report = run_experiment(ctx, cfg)
+    assert not report.failed_cells
+    by_draw = {}
+    for r in report.records:
+        if r["method"] == "random" or r["fallback"]:
+            by_draw.setdefault((_stream(r), r["id"], r["seed"]), {})[r["shot"]] = r
+    assert len(by_draw) == 2 * 9 + 2 * 3
+    train = [ex.id for ex in ctx.train.examples]
+    tests = {ex.id: ex for ex in ctx.test.examples}
+    for (stream, test_id, seed), cells in by_draw.items():
+        deepest = cells[16]["demo_ids"]
+        assert len(set(deepest)) == 16
+        for shot, record in cells.items():
+            assert record["demo_ids"] == deepest[:shot]
+            if len(train) > 85:
+                rng = random.Random(derive_seed(seed, stream, test_id))
+                assert record["demo_ids"] == rng.sample(train, shot)
+            method = MethodSpec("random") if stream == "random" else MethodSpec(
+                "marginsel", alpha=1.0)
+            _, one = predict_one(ctx, method, shot, tests[test_id], seed, "random")
+            assert one == record
+
+
+def test_replacing_the_train_split_checks_the_lookup_again():
+    # dataclasses.replace reruns __post_init__: a replaced train split is
+    # checked against the lookup again, and rho follows the new split.
+    from marginsel.selection import StaleLookup
+
+    ctx = planted_pipeline()
+    other = planted_pipeline(n_train_per_sig=7)
+    with pytest.raises(StaleLookup):
+        replace(ctx, train=other.train)
+    moved = replace(ctx, train=other.train, lookup=other.lookup)
+    assert moved.rho.weight("red") == other.rho.weight("red")
+
+
 def test_context_refuses_a_lookup_of_another_split():
     # The lookup is the kNN candidate list as well as the hard pool, so a
     # context whose lookup does not hold the train split in order is refused.
@@ -672,6 +759,19 @@ def test_duplicate_methods_are_rejected():
             RunConfig(methods=[MethodSpec("random")], shots=[2], seeds=[1]),
             alphas=[1, 1.0],
         )
+
+
+def test_shots_seeds_and_alpha_are_checked_where_they_are_typed():
+    for shots, seeds in (
+        ([], [1]), ([2], []), ([2.5], [1]), (["3"], [1]), ([True], [1]), ([2, 2], [1]),
+        ([2], [1, 1]), ([2], [1, "1"]), ([2], [False]), ([0], [1]), (2, [1]), ([2], None),
+    ):
+        with pytest.raises(ValueError, match="shots|seeds|shot counts"):
+            RunConfig(methods=[MethodSpec("random")], shots=shots, seeds=seeds)
+    for alpha in ("a", True, [0.5], 1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="alpha must be a real number in"):
+            MethodSpec("marginsel", alpha)
+    assert RunConfig(methods=[MethodSpec("marginsel", 1)], shots=(16, 4), seeds=[0, -1])
 
 
 def test_interrupted_final_write_keeps_the_records(tmp_path, monkeypatch):

@@ -18,13 +18,14 @@ from marginsel.llm_client import CachedBackend, MockBackend, MockRule, mock_mult
 from marginsel.selection import (
     DemoSet,
     EmptySelection,
-    HardDraw,
     LookupEntry,
     LookupTable,
     Pool,
     MissingFrequency,
+    PrefixDraw,
     SelectionConfig,
     build_lookup,
+    hard_picks,
     load_lookup,
     match_hard,
     save_lookup,
@@ -301,19 +302,20 @@ def test_hard_draw_prefixes_equal_weighted_sample():
     for quotas in ([2, 4, 4, 8], [16, 4], [1, 3, 17, 2]):
         for pool in pools:
             for seed in range(3):
-                for draw in (HardDraw(max(quotas)), HardDraw()):
+                for draw in (PrefixDraw(max(quotas)), PrefixDraw()):
                     for k in quotas:
-                        assert draw.take(pool, k, rho, seed) == weighted_sample(pool, k, rho, seed)
+                        assert hard_picks(draw, pool, k, rho, seed) == weighted_sample(
+                            pool, k, rho, seed)
                     if len(pool) > 1:
                         assert len(draw.picks) <= len(pool) - 1
 
 
 def test_hard_draw_fails_every_take_on_a_missing_frequency():
     pool = Pool([entry("1", "red", "110"), entry("2", "green", "110"), entry("3", "red", "110")])
-    draw = HardDraw(4)
+    draw = PrefixDraw(4)
     for k in (1, 2, 4):
         with pytest.raises(MissingFrequency):
-            draw.take(pool, k, _rho(red=1.0), seed=0)
+            hard_picks(draw, pool, k, _rho(red=1.0), seed=0)
 
 
 def test_lookup_table_indexes_once(tmp_path):
