@@ -36,9 +36,9 @@ from .evalharness import (
     MethodSpec,
     NoEmbeddingStore,
     RunConfig,
+    Selector,
     alpha_sweep,
     load_records,
-    marginsel_demos,
     predict_one,
     run_experiment,
 )
@@ -64,9 +64,7 @@ from .prompting import (
 from .selection import (
     EmptySelection,
     StaleLookup,
-    assign_candidates,
     build_lookup,
-    check_lookup,
     load_lookup,
     save_lookup,
 )
@@ -277,20 +275,13 @@ def _store(config: dict):
     return load_embeddings(path)
 
 
-def _lookup(config: dict, space: LabelSpace, train: Dataset):
-    """The lookup table, refused unless it holds the train split in order."""
+def _lookup(config: dict, space: LabelSpace):
+    """The lookup table; the experiment context refuses it unless it holds
+    the train split in order."""
     path = Path(config["lookup"]["path"])
     if not path.exists():
         raise ConfigError(f"lookup table {path} not found; run 'assign' first")
-    lookup = load_lookup(path, space)
-    try:
-        check_lookup(lookup, train)
-    except StaleLookup:
-        raise ConfigError(
-            f"lookup table {path} does not hold the train split's examples in "
-            "order; rerun 'assign' with this config"
-        ) from None
-    return lookup
+    return load_lookup(path, space)
 
 
 # --------------------------------------------------------------------------
@@ -342,11 +333,12 @@ def cmd_select(config: dict, args) -> int:
     alpha, shots, seed = _selection_args(config, args)
     ctx = _context(config, [MethodSpec("marginsel", alpha)], None, args.test_text is not None)
     test = _test_input(args, ctx.test)
+    selector = Selector(ctx, None, shots)  # select runs no fallback
     with _closing(ctx.backend):
-        [step1] = assign_candidates(ctx.backend, ctx.candidate_template, [test.text], ctx.space)
-    result = {"test_id": test.id, "candidate_key": candidate_key(step1)}
+        selector.assign([test])
+    result = {"test_id": test.id, "candidate_key": candidate_key(selector.step1[test.id])}
     try:
-        demos = marginsel_demos(ctx, alpha, shots, test, seed, step1, {})
+        demos = selector.marginsel(alpha, shots, test, seed)
     except EmptySelection:
         result["error"] = (
             "no hard match at alpha=1; rerun with alpha<1 "
@@ -374,7 +366,8 @@ def _context(
     when no fallback runs), loading the lookup table and the embedding store
     only when a method or the fallback uses them.  For ad-hoc text it loads
     neither the test split nor the store, and refuses a method that would
-    rank the text's neighbours before any backend request."""
+    rank the text's neighbours before any backend request.  A lookup table
+    that does not hold the train split in order is refused."""
     space = _space(config)
     marginsel = [m for m in methods if m.name == "marginsel"]
     ranks = any(m.name == "knn" for m in methods) or any(m.alpha < 1.0 for m in marginsel)
@@ -384,17 +377,23 @@ def _context(
     candidate_template, final_template = _templates(config)
     backend = _backend(config, space)
     train, test = _datasets(config, space, test_split=not adhoc)
-    return ExperimentContext(
-        space=space,
-        train=train,
-        test=test,
-        backend=backend,
-        candidate_template=candidate_template,
-        final_template=final_template,
-        lookup=_lookup(config, space, train) if marginsel else None,
-        store=_store(config) if need_store else None,
-        max_in_flight=config["backend"]["max_in_flight"],
-    )
+    try:
+        return ExperimentContext(
+            space=space,
+            train=train,
+            test=test,
+            backend=backend,
+            candidate_template=candidate_template,
+            final_template=final_template,
+            lookup=_lookup(config, space) if marginsel else None,
+            store=_store(config) if need_store else None,
+            max_in_flight=config["backend"]["max_in_flight"],
+        )
+    except StaleLookup:
+        raise ConfigError(
+            f"lookup table {Path(config['lookup']['path'])} does not hold the train "
+            "split's examples in order; rerun 'assign' with this config"
+        ) from None
 
 
 def _parse_methods(raw: list) -> list[MethodSpec]:

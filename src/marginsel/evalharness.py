@@ -4,9 +4,11 @@ A run is a grid of (method, shot count, seed) cells over a fixed train/test
 split.  Methods: ``random`` (uniform demos), ``knn`` (cosine neighbors) and
 ``marginsel`` (hard-example selection at a given alpha).  Each cell predicts
 every test example, scores macro-F1, and persists per-example records so an
-interrupted run resumes without recomputing finished cells.  Reports carry
-per-cell scores, per-(method, shot) mean/stdev over seeds, and a paired
-t-test marker against the baseline method.
+interrupted run resumes without recomputing finished cells.  One
+``Selector`` per run holds each test example's step-1 candidate set,
+neighbour ranking and draw orders, and is the one place a demo set is
+composed.  Reports carry per-cell scores, per-(method, shot) mean/stdev over
+seeds, and a paired t-test marker against the baseline method.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .core import (
     MarginSelError,
     canonical_label,
     replace_file,
-    round_half_up,
     write_csv,
     write_json,
 )
@@ -215,45 +216,6 @@ def derive_seed(base_seed: int, *parts: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _ranking(
-    ctx: ExperimentContext, needed_by: str, test: Example, rankings: dict[str, Ranking]
-) -> Ranking:
-    """The test input's neighbour ranking over the train split: ranked
-    against the context's train index the first time a run needs it, then
-    read from the run's ``rankings``.  Only the calling thread selects demos,
-    so each test input is ranked once."""
-    ranking = rankings.get(test.id)
-    if ranking is None:
-        if ctx.store is None:
-            raise NoEmbeddingStore(f"{needed_by} needs an embedding store")
-        ranking = rankings[test.id] = rank(ctx.store, test.id, ctx.train_index(), knn_retrieve)
-    return ranking
-
-
-def _knn_demos(
-    ctx: ExperimentContext, needed_by: str, shots: int, test: Example,
-    rankings: dict[str, Ranking],
-) -> list[tuple[Example, str]]:
-    ids = _ranking(ctx, needed_by, test, rankings).take(shots)
-    return [(ctx.train.by_id(i), "knn") for i in ids]
-
-
-class Draws(dict):
-    """A run's draw orders by (stream, test id, seed), where the stream is
-    the tag the draw's seed is derived with: "marginsel" for the hard draw,
-    "random" for the random method's uniform draw and "fallback" for the
-    random fallback's.  Each order is created as deep as its stream's depth
-    in ``depths``; a stream without one draws as deep as its first read."""
-
-    def __init__(self, depths: dict[str, int] | None = None):
-        super().__init__()
-        self.depths = depths or {}
-
-    def __missing__(self, key: tuple[str, str, int]) -> PrefixDraw:
-        draw = self[key] = PrefixDraw(self.depths.get(key[0], 0))
-        return draw
-
-
 def _uniform_draw(population: Sequence, depth: int, seed: int) -> list:
     """depth distinct members of population, drawn uniformly without
     replacement: random.Random(seed) draws randrange(len(population)) until
@@ -268,120 +230,131 @@ def _uniform_draw(population: Sequence, depth: int, seed: int) -> list:
     return [population[j] for j in picked]
 
 
-def _random_demos(
-    ctx: ExperimentContext, stream: str, shots: int, test: Example, seed: int, draws: Draws
-) -> list[tuple[Example, str]]:
-    """The first ``shots`` uniform demos of the test input's draw for
-    (stream, seed) in the run's ``draws``, seeded from (seed, stream, test
-    id); the whole train split when it holds no more than shots."""
-    examples = ctx.train.examples
-    picked = draws[stream, test.id, seed].take(
-        shots, len(examples),
-        lambda depth: _uniform_draw(examples, depth, derive_seed(seed, stream, test.id)))
-    return [(ex, "random") for ex in picked]
+class Selector:
+    """The demos of a run's test inputs, composed here and only here so that
+    ``select`` shows what ``predict`` and ``eval`` use.  It holds the run's
+    step-1 candidate sets and neighbour rankings by test id, and its draw
+    orders by (stream, test id, seed), where the stream is the tag the
+    draw's seed is derived with: "marginsel" for the hard draw, "random" for
+    the random method's uniform draw and "fallback" for the random
+    fallback's.  Each is made once, when a cell first needs it, and only the
+    calling thread selects demos.  Every draw order goes ``depth`` deep, the
+    largest shot count it serves, and every cell reads a prefix of it: a
+    hard quota round_half_up(alpha * n) is never more than n."""
 
+    def __init__(self, ctx: ExperimentContext, fallback: str | None, depth: int):
+        self.ctx = ctx
+        self.fallback = fallback  # the policy when marginsel's selection is empty
+        self.depth = depth
+        self.step1: dict[str, CandidateSet] = {}
+        self.rankings: dict[str, Ranking] = {}
+        self.draws: dict[tuple[str, str, int], PrefixDraw] = {}
 
-def marginsel_demos(
-    ctx: ExperimentContext,
-    alpha: float,
-    shots: int,
-    test: Example,
-    seed: int,
-    step1: CandidateSet | None,
-    rankings: dict[str, Ranking],
-    draws: Draws | None = None,
-) -> DemoSet:
-    """MarginSel's demonstrations for one test input, composed here and only
-    here so that ``select`` shows what ``predict`` and ``eval`` use:
-    select_demos over the lookup table with the test's step-1 candidate set
-    (None or empty when assignment failed), the draw seeded from (seed,
-    "marginsel", test id) and, when alpha < 1, the test's neighbour ranking
-    from ``rankings``.  The hard picks are a prefix of the test's
-    ("marginsel", test id, seed) draw order in the run's ``draws``, or of a
-    fresh one without it.
-    Raises EmptySelection at alpha = 1 when nothing matches."""
-    cfg = SelectionConfig(alpha, shots, derive_seed(seed, MARGINSEL, test.id))
-    neighbours = None
-    if alpha < 1.0:
-        neighbours = _ranking(ctx, "marginsel at alpha < 1", test, rankings)
-    draw = None if draws is None else draws[MARGINSEL, test.id, seed]
-    return select_demos(ctx.lookup, step1, neighbours, ctx.rho, cfg, draw)
+    def assign(self, tests: Sequence[Example], pool: Executor | None = None) -> None:
+        """Step 1 for the test inputs that have no candidate set yet, with
+        the requests sent through ``pool`` (or here, without one)."""
+        ctx = self.ctx
+        missing = [ex for ex in tests if ex.id not in self.step1]
+        self.step1.update(zip([ex.id for ex in missing], assign_candidates(
+            ctx.backend, ctx.candidate_template, [ex.text for ex in missing], ctx.space, pool)))
 
+    def _draw(self, stream: str, test: Example, seed: int) -> PrefixDraw:
+        draw = self.draws.get((stream, test.id, seed))
+        if draw is None:
+            draw = self.draws[stream, test.id, seed] = PrefixDraw(self.depth)
+        return draw
 
-def _choose_demos(
-    ctx: ExperimentContext,
-    method: MethodSpec,
-    shots: int,
-    test: Example,
-    seed: int,
-    fallback_policy: str,
-    step1: CandidateSet | None,
-    rankings: dict[str, Ranking],
-    draws: Draws,
-) -> tuple[list[tuple[Example, str]], bool]:
-    """Demos as (example, source) pairs, and whether the fallback fired.
-    step1 is the test's assignment-step candidate set (marginsel only)."""
-    if method.name == RANDOM:
-        return _random_demos(ctx, "random", shots, test, seed, draws), False
-    if method.name == KNN_METHOD:
-        return _knn_demos(ctx, "knn method", shots, test, rankings), False
-    try:
-        demo_set = marginsel_demos(ctx, method.alpha, shots, test, seed, step1, rankings, draws)
-    except EmptySelection:
-        if fallback_policy == FALLBACK_KNN:
-            return _knn_demos(ctx, "knn fallback", shots, test, rankings), True
-        return _random_demos(ctx, "fallback", shots, test, seed, draws), True
-    return [(e.example, e.source) for e in demo_set], False
+    def _ranking(self, needed_by: str, test: Example) -> Ranking:
+        """The test input's neighbour ranking over the train split, ranked
+        against the context's train index."""
+        ranking = self.rankings.get(test.id)
+        if ranking is None:
+            ctx = self.ctx
+            if ctx.store is None:
+                raise NoEmbeddingStore(f"{needed_by} needs an embedding store")
+            ranking = self.rankings[test.id] = rank(
+                ctx.store, test.id, ctx.train_index(), knn_retrieve)
+        return ranking
 
+    def _knn(self, needed_by: str, shots: int, test: Example) -> list[tuple[Example, str]]:
+        ids = self._ranking(needed_by, test).take(shots)
+        return [(self.ctx.train.by_id(i), "knn") for i in ids]
 
-def _predict(
-    ctx: ExperimentContext,
-    method: MethodSpec,
-    shots: int,
-    seed: int,
-    tests: Sequence[Example],
-    fallback_policy: str,
-    step1: dict[str, CandidateSet],
-    rankings: dict[str, Ranking],
-    draws: Draws,
-    pool: Executor | None,
-) -> list[dict]:
-    """Stages 2-4 for one cell's test inputs: select every input's demos
-    here, then render the final prompts here, send only the requests through
-    the pool and parse each reply here into its record; a malformed reply
-    predicts the INVALID token.  step1 holds marginsel's assignment-step
-    candidate sets by test id; rankings is the run's table of neighbour
-    rankings by test id, which kNN fills and reads; draws is the run's table
-    of draw orders by (stream, test id, seed), which marginsel and the
-    uniform draws fill and read."""
-    records = []
-    inputs = []  # (demo (text, gold) pairs, test text) per record
-    for test in tests:
-        sets = step1.get(test.id) if method.name == MARGINSEL else None
-        demos, fell_back = _choose_demos(
-            ctx, method, shots, test, seed, fallback_policy, sets, rankings, draws
-        )
-        records.append({
-            "method": method.label(),
-            "shot": shots,
-            "seed": seed,
-            "id": test.id,
-            "gold": test.gold,
-            "demo_ids": [ex.id for ex, _ in demos],
-            "demo_sources": [src for _, src in demos],
-            "step1": None if sets is None or sets.is_empty else sorted(sets.labels_in(ctx.space)),
-            "fallback": fell_back,
-        })
-        inputs.append(([(ex.text, ex.gold) for ex, _ in demos], test.text))
-    prompts = (render_final_prompt(ctx.final_template, pairs, text, ctx.space)
-               for pairs, text in inputs)
-    for record, reply in zip(records, complete_all(ctx.backend, prompts, pool)):
+    def _uniform(self, stream: str, shots: int, test: Example, seed: int
+                 ) -> list[tuple[Example, str]]:
+        """The first ``shots`` uniform demos of the (stream, test, seed)
+        draw, seeded from (seed, stream, test id); the whole train split
+        when it holds no more than shots."""
+        examples = self.ctx.train.examples
+        picked = self._draw(stream, test, seed).take(
+            shots, len(examples),
+            lambda depth: _uniform_draw(examples, depth, derive_seed(seed, stream, test.id)))
+        return [(ex, "random") for ex in picked]
+
+    def marginsel(self, alpha: float, shots: int, test: Example, seed: int) -> DemoSet:
+        """MarginSel's demonstrations for one test input: select_demos over
+        the lookup table with the test's step-1 candidate set (None before
+        assign, or empty when assignment failed), the hard picks a prefix of
+        the draw seeded from (seed, "marginsel", test id) and, when alpha <
+        1, the test's neighbour ranking.
+        Raises EmptySelection at alpha = 1 when nothing matches."""
+        ctx = self.ctx
+        cfg = SelectionConfig(alpha, shots, derive_seed(seed, MARGINSEL, test.id))
+        neighbours = self._ranking("marginsel at alpha < 1", test) if alpha < 1.0 else None
+        return select_demos(ctx.lookup, self.step1.get(test.id), neighbours, ctx.rho, cfg,
+                            self._draw(MARGINSEL, test, seed))
+
+    def _demos(self, method: MethodSpec, shots: int, test: Example, seed: int
+               ) -> tuple[list[tuple[Example, str]], bool]:
+        """Demos as (example, source) pairs, and whether the fallback fired."""
+        if method.name == RANDOM:
+            return self._uniform("random", shots, test, seed), False
+        if method.name == KNN_METHOD:
+            return self._knn("knn method", shots, test), False
         try:
-            record["predicted"] = parse_label_tags(reply, ctx.space, multi=False)
-        except (NoTag, EmptySet, Ambiguous) as exc:
-            log.warning("final parse failed for %s: %s", record["id"], exc)
-            record["predicted"] = INVALID
-    return records
+            demo_set = self.marginsel(method.alpha, shots, test, seed)
+        except EmptySelection:
+            if self.fallback == FALLBACK_KNN:
+                return self._knn("knn fallback", shots, test), True
+            return self._uniform("fallback", shots, test, seed), True
+        return [(e.example, e.source) for e in demo_set], False
+
+    def predict(self, method: MethodSpec, shots: int, seed: int, tests: Sequence[Example],
+                pool: Executor | None = None) -> list[dict]:
+        """One cell's records for ``tests``: step 1 for marginsel, then every
+        input's demos and final prompt here, only the requests through the
+        pool (or here, without one), and each reply parsed here; a malformed
+        reply predicts the INVALID token."""
+        ctx = self.ctx
+        if method.name == MARGINSEL:
+            self.assign(tests, pool)
+        records = []
+        inputs = []  # (demo (text, gold) pairs, test text) per record
+        for test in tests:
+            sets = self.step1[test.id] if method.name == MARGINSEL else None
+            demos, fell_back = self._demos(method, shots, test, seed)
+            records.append({
+                "method": method.label(),
+                "shot": shots,
+                "seed": seed,
+                "id": test.id,
+                "gold": test.gold,
+                "demo_ids": [ex.id for ex, _ in demos],
+                "demo_sources": [src for _, src in demos],
+                "step1": (None if sets is None or sets.is_empty
+                          else sorted(sets.labels_in(ctx.space))),
+                "fallback": fell_back,
+            })
+            inputs.append(([(ex.text, ex.gold) for ex, _ in demos], test.text))
+        prompts = (render_final_prompt(ctx.final_template, pairs, text, ctx.space)
+                   for pairs, text in inputs)
+        for record, reply in zip(records, complete_all(ctx.backend, prompts, pool)):
+            try:
+                record["predicted"] = parse_label_tags(reply, ctx.space, multi=False)
+            except (NoTag, EmptySet, Ambiguous) as exc:
+                log.warning("final parse failed for %s: %s", record["id"], exc)
+                record["predicted"] = INVALID
+        return records
 
 
 def predict_one(
@@ -393,16 +366,9 @@ def predict_one(
     fallback_policy: str = FALLBACK_KNN,
 ) -> tuple[str, dict]:
     """Predict one test example with the stages of a run, every request on
-    the calling thread: step 1 (marginsel only), demos per method, the final
-    prompt and its single-label reply.  Each draw goes ``shots`` deep, which
-    is the prefix a run's deeper draw gives this cell."""
-    step1: dict[str, CandidateSet] = {}
-    if method.name == MARGINSEL:
-        [step1[test.id]] = assign_candidates(
-            ctx.backend, ctx.candidate_template, [test.text], ctx.space
-        )
-    [record] = _predict(
-        ctx, method, shots, seed, [test], fallback_policy, step1, {}, Draws(), None)
+    the calling thread.  Each draw goes ``shots`` deep, which is the prefix
+    a run's deeper draw gives this cell."""
+    [record] = Selector(ctx, fallback_policy, shots).predict(method, shots, seed, [test])
     return record["predicted"], record
 
 
@@ -435,13 +401,11 @@ def load_records(path: Path) -> dict[tuple, dict[str, dict]]:
 
 def run_experiment(ctx: ExperimentContext, cfg: RunConfig) -> RunReport:
     """Execute the full grid.  Already-recorded cells are skipped; per-cell
-    failures are annotated rather than aborting the run.  Step 1 runs at most
-    once per test example per run, when a marginsel cell first needs it, and
-    so does the test example's neighbour ranking, when kNN first needs it.
-    A test example's hard draw order is drawn once per seed, as deep as the
-    grid's largest hard quota, and so are its uniform draws for the random
-    method and the random fallback, as deep as the largest shot count; every
-    cell reads a prefix of them.
+    failures are annotated rather than aborting the run, and a failed cell
+    keeps the records it already had.  One Selector serves the run, so a
+    test example's step 1 and neighbour ranking run at most once per run,
+    and each of its draw orders once per seed, as deep as the largest shot
+    count.
     One request pool of ``ctx.max_in_flight`` workers serves the whole run;
     only backend requests run in it, and everything else runs here, cell by
     cell in grid order."""
@@ -464,15 +428,7 @@ def run_experiment(ctx: ExperimentContext, cfg: RunConfig) -> RunReport:
 
     # each record's records.jsonl line, encoded once (never without a run directory)
     encode = _line if records_path else lambda record: ""
-    step1: dict[str, CandidateSet] = {}  # test id -> step-1 candidate set
-    rankings: dict[str, Ranking] = {}  # test id -> neighbour ranking over train
-    top = max(cfg.shots)
-    draws = Draws({
-        MARGINSEL: max((round_half_up(m.alpha * shot) for m in cfg.methods
-                        if m.name == MARGINSEL for shot in cfg.shots), default=0),
-        "random": top,
-        "fallback": top,
-    })
+    selector = Selector(ctx, cfg.fallback, max(cfg.shots))
     all_records: list[tuple[dict, str]] = []  # (record, its line)
     cells: list[dict] = []
     with request_pool(ctx.max_in_flight) as pool:
@@ -480,28 +436,24 @@ def run_experiment(ctx: ExperimentContext, cfg: RunConfig) -> RunReport:
             key = (method.label(), shot, seed)
             cached = existing.get(key, {})
             cell = {"method": method.label(), "alpha": method.alpha, "shot": shot, "seed": seed}
+            cell_records = [(r, encode(r)) for r in cached.values()]
             try:
                 pending = [ex for ex in ctx.test.examples if ex.id not in cached]
-                if method.name == MARGINSEL:
-                    missing = [ex for ex in pending if ex.id not in step1]
-                    step1.update(zip([ex.id for ex in missing], assign_candidates(
-                        ctx.backend, ctx.candidate_template,
-                        [ex.text for ex in missing], ctx.space, pool)))
-                fresh = [(r, encode(r)) for r in _predict(
-                    ctx, method, shot, seed, pending, cfg.fallback, step1, rankings, draws, pool)]
+                fresh = [(r, encode(r))
+                         for r in selector.predict(method, shot, seed, pending, pool)]
                 if fresh and records_path:
                     # flushed as soon as a cell finishes so an
                     # interrupted run resumes without recomputation
                     with open(records_path, "a", encoding="utf-8") as fh:
                         fh.write("".join(line for _, line in fresh))
-                cell_records = [(r, encode(r)) for r in cached.values()] + fresh
-                cell_records.sort(key=lambda pair: test_order[pair[0]["id"]])
+                cell_records += fresh
                 pairs = [(r["gold"], r["predicted"]) for r, _ in cell_records]
                 cell["macro_f1"] = macro_f1(pairs, ctx.space)
-                all_records.extend(cell_records)
             except MarginSelError as exc:
                 log.error("cell %s failed: %s", key, exc)
                 cell["error"] = str(exc)
+            cell_records.sort(key=lambda pair: test_order[pair[0]["id"]])
+            all_records.extend(cell_records)
             cells.append(cell)
 
     summary = _summarize(cells, cfg)

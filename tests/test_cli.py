@@ -398,6 +398,31 @@ def test_select_refuses_a_lookup_of_another_split(tmp_path, capsys):
     assert main(["--config", str(config_path), *select, "--test-id", "e12"]) in (0, 4)
 
 
+def test_eval_checks_the_lookup_once(tmp_path, capsys, monkeypatch):
+    # The experiment context checks the lookup against the train split; the
+    # CLI only turns its refusal into a config error.
+    from marginsel import evalharness
+
+    checks = []
+
+    def counting(check):
+        def counted(*args):
+            checks.append(args)
+            return check(*args)
+
+        return counted
+
+    config_path = make_workspace(tmp_path)
+    main(["--config", str(config_path), "assign"])
+    for module in (cli, evalharness):
+        if hasattr(module, "check_lookup"):
+            monkeypatch.setattr(module, "check_lookup", counting(module.check_lookup))
+    code = main(["--config", str(config_path),
+                 "--set", 'eval.methods=[{"name": "marginsel", "alpha": 1.0}]', "eval"])
+    assert code == 0
+    assert len(checks) == 1
+
+
 def test_duplicate_methods_exit_2(tmp_path, capsys):
     config_path = make_workspace(tmp_path)
     code = main(

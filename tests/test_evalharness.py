@@ -11,13 +11,14 @@ from pathlib import Path
 import pytest
 from scipy import stats as scipy_stats
 
-from marginsel.core import LabelSpace, MarginSelError
+from marginsel.core import LabelSpace, MarginSelError, candidate_set_from_labels
 from marginsel.evalharness import (
     INVALID,
     EmptyInput,
     ExperimentContext,
     MethodSpec,
     RunConfig,
+    _line,
     _summarize,
     alpha_sweep,
     derive_seed,
@@ -354,6 +355,29 @@ def test_run_experiment_resume_completes_partial_cells(tmp_path):
     assert resumed.cells[0]["macro_f1"] == full.cells[0]["macro_f1"]
 
 
+class TransportDown:
+    """Every request fails with a transport error."""
+
+    model_name = "down"
+    temperature = 0.0
+
+    def complete(self, system, user):
+        raise Transport("connection refused")
+
+
+def test_a_failed_resumed_cell_keeps_its_records(tmp_path):
+    ctx = planted_pipeline()
+    cfg = RunConfig(methods=[MethodSpec("random")], shots=[2], seeds=[5], out_dir=tmp_path)
+    run_experiment(ctx, cfg)
+    lines = (tmp_path / "records.jsonl").read_text().splitlines(keepends=True)
+    (tmp_path / "records.jsonl").write_text("".join(lines[:4]))
+
+    report = run_experiment(replace(ctx, backend=TransportDown()), cfg)
+    assert [c["error"] for c in report.failed_cells] == ["connection refused"]
+    assert (tmp_path / "records.jsonl").read_text() == "".join(lines[:4])
+    assert [_line(r) for r in report.records] == lines[:4]
+
+
 def test_constant_paired_differences_are_not_tested():
     # Differences equal up to rounding: ttest_rel warned and reported p ~ 1e-31.
     cfg = RunConfig(methods=[MethodSpec("random"), MethodSpec("knn")], seeds=[0, 1, 2])
@@ -540,6 +564,40 @@ def test_each_test_input_is_drawn_once_per_seed(monkeypatch):
     assert drawn == expected
     run_experiment(ctx, cfg)
     assert drawn == expected + expected
+
+
+@pytest.mark.parametrize("fallback", ["knn", "random"])
+def test_hard_draws_go_as_deep_as_the_largest_shot_count(monkeypatch, fallback):
+    # At alpha 0.5 the largest hard quota (4) is below the largest shot
+    # count (8), the depth every draw order goes: each (test input, seed)
+    # with a pool is still drawn once, and every cell equals predict_one's.
+    from marginsel import selection
+
+    drawn = Counter()
+    draw = selection.weighted_sample
+
+    def counted(pool, k, rho, seed):
+        drawn[seed] += 1
+        return draw(pool, k, rho, seed)
+
+    monkeypatch.setattr(selection, "weighted_sample", counted)
+    ctx = planted_pipeline(with_store=True)
+    ctx.backend = NoStep1For(ctx.backend, "gammasig")
+    cfg = RunConfig(methods=[MethodSpec("marginsel", alpha=0.5)], shots=[2, 3, 4, 5, 6, 7, 8],
+                    seeds=[0, 1, 2], fallback=fallback)
+    report = run_experiment(ctx, cfg)
+    assert not report.failed_cells
+    step1 = {r["id"]: r["step1"] for r in report.records}
+    with_pool = [ex for ex in ctx.test.examples if step1[ex.id] is not None
+                 and ctx.lookup.pools.get(candidate_set_from_labels(step1[ex.id], ctx.space))]
+    assert with_pool
+    assert drawn == Counter(derive_seed(seed, "marginsel", ex.id) for ex in with_pool
+                            for seed in cfg.seeds)
+    tests = {ex.id: ex for ex in ctx.test.examples}
+    for record in report.records:
+        _, one = predict_one(ctx, cfg.methods[0], record["shot"], tests[record["id"]],
+                             record["seed"], fallback)
+        assert one == record
 
 
 def _uniform_grid(n_train_per_sig, out_dir=None):
