@@ -331,7 +331,9 @@ def _test_input(args, test: Dataset) -> Example:
 
 def cmd_select(config: dict, args) -> int:
     alpha, shots, seed = _selection_args(config, args)
-    ctx = _context(config, [MethodSpec("marginsel", alpha)], None, args.test_text is not None)
+    method = MethodSpec("marginsel", alpha)
+    RunConfig([method], [shots], [seed])  # the shot and seed checks of a run
+    ctx = _context(config, [method], None, args.test_text is not None)
     test = _test_input(args, ctx.test)
     selector = Selector(ctx, None, shots)  # select runs no fallback
     with _closing(ctx.backend):

@@ -122,8 +122,8 @@ class MethodSpec:
     def __post_init__(self):
         if self.name not in (RANDOM, KNN_METHOD, MARGINSEL):
             raise ValueError(f"unknown method {self.name!r}")
-        if self.name == MARGINSEL and self.alpha is None:
-            raise ValueError("marginsel needs an alpha")
+        if (self.name == MARGINSEL) != (self.alpha is not None):
+            raise ValueError(f"marginsel needs an alpha, and no other method takes one: {self}")
         if self.alpha is not None and (
                 isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real)
                 or not 0.0 <= self.alpha <= 1.0):
@@ -365,9 +365,10 @@ def predict_one(
     seed: int,
     fallback_policy: str = FALLBACK_KNN,
 ) -> tuple[str, dict]:
-    """Predict one test example with the stages of a run, every request on
-    the calling thread.  Each draw goes ``shots`` deep, which is the prefix
-    a run's deeper draw gives this cell."""
+    """Predict one test example with the stages and checks of a run, every
+    request on the calling thread.  Each draw goes ``shots`` deep, which is
+    the prefix a run's deeper draw gives this cell."""
+    RunConfig([method], [shots], [seed], fallback_policy)
     [record] = Selector(ctx, fallback_policy, shots).predict(method, shots, seed, [test])
     return record["predicted"], record
 

@@ -22,7 +22,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .core import MarginSelError
-from .llm_client import BackendConfig, HttpBackend
 
 
 class DimensionMismatch(MarginSelError):
@@ -115,14 +114,6 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
                 yield record["id"], record["vector"]
 
     return build_store(records())
-
-
-def fetch_embeddings(
-    config: BackendConfig, items: Sequence[tuple[str, str]]
-) -> EmbeddingStore:
-    """Fetch embeddings for (id, text) pairs from an HTTP embedding endpoint."""
-    with HttpBackend(config) as backend:
-        return build_store((entry_id, backend.embed(text)) for entry_id, text in items)
 
 
 def _row(store: EmbeddingStore, entry_id: str) -> int:

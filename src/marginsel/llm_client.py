@@ -127,9 +127,9 @@ class HttpBackend:
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
-    def _post_json(self, path: str, payload: dict) -> tuple[dict, int]:
+    def _post_json(self, payload: dict) -> tuple[dict, int]:
         cfg = self.config
-        url = cfg.base_url.rstrip("/") + path
+        url = cfg.base_url.rstrip("/") + "/chat/completions"
         headers = self._headers()
         attempts = 0
         last_timeout = False
@@ -180,21 +180,12 @@ class HttpBackend:
                 {"role": "user", "content": user},
             ],
         }
-        body, attempts = self._post_json("/chat/completions", payload)
+        body, attempts = self._post_json(payload)
         try:
             reply = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError):
             raise Transport(f"malformed completion body: {str(body)[:200]}")
         return reply, attempts
-
-    def embed(self, text: str) -> list[float]:
-        """Fetch one embedding vector from ``{base_url}/embeddings``."""
-        payload = {"model": self.config.model_name, "input": text}
-        body, _ = self._post_json("/embeddings", payload)
-        try:
-            return [float(x) for x in body["data"][0]["embedding"]]
-        except (KeyError, IndexError, TypeError, ValueError):
-            raise Transport(f"malformed embedding body: {str(body)[:200]}")
 
 
 @dataclass(frozen=True)

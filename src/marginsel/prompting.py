@@ -156,18 +156,21 @@ def load_template_dir(path: str | Path) -> dict[str, PromptTemplate]:
 
 
 # --------------------------------------------------------------------------
-# Built-in templates.  Label enumerations are hard-coded in space order; the
-# matching spaces are in BUILTIN_SPACES.
+# Built-in templates.  Each task's label descriptions are written once, in
+# space order, and open both of its system prompts; its final user prompt
+# lists the labels through the {labels} slot.  The matching spaces are in
+# BUILTIN_SPACES.
 # --------------------------------------------------------------------------
 
-_SST5_CANDIDATE_SYSTEM = """\
-You are an expert in sentiment analysis of movie reviews. Your goal is to assign label(s) to each review based on its sentiment:
+_SST5_LABELS = """\
 - very negative: Reviews that express extremely unfavorable opinions, strong criticism, or intense dissatisfaction regarding the movie.
 - negative: Reviews that express unfavorable opinions, criticism, or dissatisfaction regarding the movie.
 - neutral: Reviews that express neither strong positive nor strong negative opinions, or that are balanced between praise and criticism.
 - positive: Reviews that express favorable opinions, praise, or satisfaction regarding the movie.
 - very positive: Reviews that express extremely favorable opinions, strong praise, or intense satisfaction regarding the movie.
 """
+
+_SST5_CANDIDATE_SYSTEM = "You are an expert in sentiment analysis of movie reviews. Your goal is to assign label(s) to each review based on its sentiment:\n" + _SST5_LABELS
 
 _SST5_CANDIDATE_USER = """\
 Given the movie review: '{text}', you must carefully analyze EVERY POSSIBLE sentiment expressed in the review.
@@ -187,36 +190,26 @@ IMPORTANT:
 Return ALL relevant labels in comma-separated format within the <label></label> tags (e.g., <label>very negative,negative,neutral,positive,very positive</label>).
 """
 
-_SST5_FINAL_SYSTEM = """\
-You are an expert in sentiment analysis of movie reviews. Your goal is to assign each review a label based on its sentiment:
-- very negative: Reviews that express extremely unfavorable opinions, strong criticism, or intense dissatisfaction regarding the movie.
-- negative: Reviews that express unfavorable opinions, criticism, or dissatisfaction regarding the movie.
-- neutral: Reviews that express neither strong positive nor strong negative opinions, or that are balanced between praise and criticism.
-- positive: Reviews that express favorable opinions, praise, or satisfaction regarding the movie.
-- very positive: Reviews that express extremely favorable opinions, strong praise, or intense satisfaction regarding the movie.
-"""
+_SST5_FINAL_SYSTEM = "You are an expert in sentiment analysis of movie reviews. Your goal is to assign each review a label based on its sentiment:\n" + _SST5_LABELS
 
 _SST5_FINAL_USER = """\
 Given the movie review: '{text}', analyze the sentiment expressed in the review step-by-step.
 Identify which sentiment label is most appropriate based on content, tone, and context.
 Provide the label exactly as follows: <label>label</label>, where 'label' is one of the following:
-- very negative
-- negative
-- neutral
-- positive
-- very positive
+{labels}
 
 Do not include any additional formatting or characters, just return the label within the <label></label> tags.
 """
 
-_DISTORTION_CANDIDATE_SYSTEM = """\
-You are an expert in cognitive distortion detection. Your goal is to assign label(s) to each text based on the type of cognitive distortion present:
+_DISTORTION_LABELS = """\
 - mental filter: When the text focuses exclusively on negative details while ignoring positive ones.
 - overgeneralization: When the text sees a single negative event as a never-ending pattern.
 - personalization: When the text blames oneself for events outside one's control.
 - emotional reasoning: When the text assumes that negative emotions reflect reality.
 - mind reading: When the text assumes what others are thinking without evidence.
 """
+
+_DISTORTION_CANDIDATE_SYSTEM = "You are an expert in cognitive distortion detection. Your goal is to assign label(s) to each text based on the type of cognitive distortion present:\n" + _DISTORTION_LABELS
 
 _DISTORTION_CANDIDATE_USER = """\
 Given the text: '{text}', you must carefully analyze EVERY POSSIBLE cognitive distortion present.
@@ -236,35 +229,25 @@ IMPORTANT:
 Return ALL relevant labels in comma-separated format within the <label></label> tags (e.g., <label>mental filter,overgeneralization,personalization,emotional reasoning,mind reading</label>).
 """
 
-_DISTORTION_FINAL_SYSTEM = """\
-You are an expert in cognitive distortion detection. Your goal is to assign each text a label based on the type of cognitive distortion present:
-- mental filter: When the text focuses exclusively on negative details while ignoring positive ones.
-- overgeneralization: When the text sees a single negative event as a never-ending pattern.
-- personalization: When the text blames oneself for events outside one's control.
-- emotional reasoning: When the text assumes that negative emotions reflect reality.
-- mind reading: When the text assumes what others are thinking without evidence.
-"""
+_DISTORTION_FINAL_SYSTEM = "You are an expert in cognitive distortion detection. Your goal is to assign each text a label based on the type of cognitive distortion present:\n" + _DISTORTION_LABELS
 
 _DISTORTION_FINAL_USER = """\
 Given the text: '{text}', analyze the cognitive distortion present step-by-step.
 Identify which cognitive distortion label is most appropriate based on content, tone, and context.
 Provide the label exactly as follows: <label>label</label>, where 'label' is one of the following:
-- mental filter
-- overgeneralization
-- personalization
-- emotional reasoning
-- mind reading
+{labels}
 Do not include any additional formatting or characters, just return the label within the <label></label> tags.
 """
 
-_MEDICAL_CANDIDATE_SYSTEM = """\
-You are an expert in medical text analysis. Your goal is to assign label(s) to each medical abstract based on its content:
+_MEDICAL_LABELS = """\
 - neoplasms: Abstracts related to tumors, cancers, or abnormal tissue growth.
 - digestive system diseases: Abstracts related to diseases of the digestive system, such as Crohn's disease or ulcers.
 - nervous system diseases: Abstracts related to diseases of the nervous system, such as Alzheimer's or Parkinson's disease.
 - cardiovascular diseases: Abstracts related to diseases of the heart and blood vessels, such as hypertension or heart failure.
 - general pathological conditions: Abstracts related to general pathological conditions, such as inflammation or infection.
 """
+
+_MEDICAL_CANDIDATE_SYSTEM = "You are an expert in medical text analysis. Your goal is to assign label(s) to each medical abstract based on its content:\n" + _MEDICAL_LABELS
 
 _MEDICAL_CANDIDATE_USER = """\
 Given the medical abstract: '{text}', you must carefully analyze EVERY POSSIBLE topic expressed in the abstract.
@@ -284,24 +267,13 @@ IMPORTANT:
 Return ALL relevant labels in comma-separated format within the <label></label> tags (e.g., <label>neoplasms,digestive system diseases,nervous system diseases,cardiovascular diseases,general pathological conditions</label>).
 """
 
-_MEDICAL_FINAL_SYSTEM = """\
-You are an expert in medical text analysis. Your goal is to assign each medical abstract a label based on its content:
-- neoplasms: Abstracts related to tumors, cancers, or abnormal tissue growth.
-- digestive system diseases: Abstracts related to diseases of the digestive system, such as Crohn's disease or ulcers.
-- nervous system diseases: Abstracts related to diseases of the nervous system, such as Alzheimer's or Parkinson's disease.
-- cardiovascular diseases: Abstracts related to diseases of the heart and blood vessels, such as hypertension or heart failure.
-- general pathological conditions: Abstracts related to general pathological conditions, such as inflammation or infection.
-"""
+_MEDICAL_FINAL_SYSTEM = "You are an expert in medical text analysis. Your goal is to assign each medical abstract a label based on its content:\n" + _MEDICAL_LABELS
 
 _MEDICAL_FINAL_USER = """\
 Given the medical abstract: '{text}', analyze the content step-by-step.
 Identify which field of study label is most appropriate based on the topic, methodology, and context.
 Provide the label exactly as follows: <label>label</label>, where 'label' is one of the following:
-- neoplasms
-- digestive system diseases
-- nervous system diseases
-- cardiovascular diseases
-- general pathological conditions
+{labels}
 Do not include any additional formatting or characters, just return the label within the <label></label> tags.
 """
 

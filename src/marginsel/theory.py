@@ -385,7 +385,14 @@ def run_theory_checks(
     seed: int = 0, identity_instances: int = 1000, margin_instances: int = 100
 ) -> dict:
     """Full numerical verification sweep; returns the report emitted by the
-    theory-check command."""
+    theory-check command.  Refuses (ValueError) a seed that is not an int
+    and instance counts that are not positive ints; bools are refused."""
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"theory seed must be an integer, not {seed!r}")
+    for name, count in (("identity_instances", identity_instances),
+                        ("margin_instances", margin_instances)):
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise ValueError(f"theory {name} must be an integer >= 1, not {count!r}")
     rng = np.random.default_rng(seed)
     max_decomp = 0.0
     max_affine = 0.0

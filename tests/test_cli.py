@@ -324,6 +324,19 @@ def test_theory_check_reports_tiny_errors(tmp_path, capsys):
     assert report["support_restriction"]["max_abs_change"] < 1e-12
 
 
+def test_theory_check_refuses_ill_typed_values(tmp_path, capsys):
+    config_path = make_workspace(tmp_path)
+    for override in ('theory.identity_instances="abc"', "theory.identity_instances=2.5",
+                     "theory.identity_instances=true", "theory.margin_instances=-1",
+                     "theory.margin_instances=0", 'theory.seed="x"', "theory.seed=false"):
+        capsys.readouterr()
+        assert main(["--config", str(config_path), "--set", override, "theory-check"]) == 2
+        err = capsys.readouterr().err
+        key = override.split("=")[0].split(".")[1]
+        assert "config error: theory " in err and key in err, err
+    assert not (tmp_path / "theory.json").exists()
+
+
 def test_missing_config_inputs_exit_2(tmp_path, capsys):
     config_path = tmp_path / "c.json"
     config_path.write_text(json.dumps({"labels": ["a", "b"]}))
@@ -562,9 +575,18 @@ def test_shots_seeds_and_alphas_must_be_well_typed(tmp_path, capsys):
         ("eval.seeds=[1, 1]", "eval"), ('eval.seeds=[1, "1"]', "eval"),
         ('sweep.alphas=["a"]', "sweep"), ("sweep.alphas=[true]", "sweep"),
         ("sweep.alphas=[1.5]", "sweep"),
+        ('eval.methods=[{"name": "knn", "alpha": 0.5}]', "eval"),
+        ("select.shots=-1", "predict --test-id e01 --method random"),
+        ("select.shots=0", "predict --test-id e01 --method knn"),
+        ("select.shots=2.5", "predict --test-id e01 --method knn"),
+        ("select.shots=2.5", "predict --test-id e01 --method random"),
+        ("select.shots=2.5", "select --test-id e01"),
+        ('select.seed="x"', "predict --test-id e01"),
+        ('select.seed="x"', "select --test-id e01"),
     ):
         capsys.readouterr()
-        assert main(["--config", str(config_path), "--set", override, command]) == 2, override
+        argv = ["--config", str(config_path), "--set", override, *command.split()]
+        assert main(argv) == 2, (override, command)
         err = capsys.readouterr().err
         assert "config error" in err and ("shot" in err or "seeds" in err or "alpha" in err), err
     assert not (tmp_path / "runs").exists()

@@ -1,10 +1,15 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from marginsel import knn
 from marginsel.knn import (
     DimensionMismatch,
     EmbeddingParseError,
@@ -13,7 +18,6 @@ from marginsel.knn import (
     ZeroNorm,
     build_index,
     build_store,
-    fetch_embeddings,
     knn_retrieve,
     load_embeddings,
     rank,
@@ -58,6 +62,20 @@ def test_load_embeddings_rejects_duplicates_and_junk(tmp_path):
     junk.write_text('{"id": "a", "vector": "not a list"}\n')
     with pytest.raises(EmbeddingParseError):
         load_embeddings(junk)
+
+
+def test_knn_loads_neither_the_http_client_nor_requests():
+    # kNN depends only on core and numpy; a fresh interpreter shows what
+    # importing it loads.
+    src = Path(knn.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, marginsel.knn; "
+            "print(sorted({'marginsel.llm_client', 'requests'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_knn_ranks_by_cosine():
@@ -251,34 +269,6 @@ def test_knn_determinism():
     first = knn_retrieve(store, "i3", 7, ids)
     second = knn_retrieve(store, "i3", 7, ids)
     assert first == second
-
-
-def test_fetch_embeddings_via_endpoint(monkeypatch):
-    # Endpoint contract is covered in the client tests; here just the
-    # store-building path over the fetch helper.
-    from marginsel import knn as knn_module
-
-    closed = []
-
-    class FakeBackend:
-        def __init__(self, config):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            closed.append(True)
-
-        def embed(self, text):
-            return [float(len(text)), 1.0]
-
-    monkeypatch.setattr(knn_module, "HttpBackend", FakeBackend)
-    store = fetch_embeddings(None, [("a", "xy"), ("b", "xyzw")])
-    assert closed == [True]
-    assert store.dimension == 2
-    assert list(store.get("a")) == [2.0, 1.0]
-    assert list(store.get("b")) == [4.0, 1.0]
 
 
 def _lexsort_retrieve(store, query_id, k, candidate_ids, exclude_ids=()):

@@ -300,15 +300,6 @@ def test_auth_missing(server, monkeypatch):
         backend.complete("s", "u")
 
 
-def test_embeddings_endpoint(server):
-    base_url, handler = server
-    handler.script = [(200, {"data": [{"embedding": [0.5, -1.0, 2.0]}]})]
-    backend = HttpBackend(_config(base_url))
-    assert backend.embed("some text") == [0.5, -1.0, 2.0]
-    assert handler.seen[0]["path"] == "/embeddings"
-    assert handler.seen[0]["body"] == {"model": "test-model", "input": "some text"}
-
-
 def test_backend_config_bounds():
     with pytest.raises(ValueError):
         BackendConfig(max_retries=11)
@@ -527,10 +518,9 @@ def test_an_old_cache_directory_is_imported(tmp_path):
     "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
 )
 def test_http_sessions_are_closed(server, tmp_path, monkeypatch):
-    # Every session the backend opens is closed: by its context manager, by
-    # fetch_embeddings, and by a CLI command.  Any socket left to the garbage
-    # collector (the test server's included) warns, which fails the test.
-    from marginsel.knn import fetch_embeddings
+    # Every session the backend opens is closed: by its context manager and
+    # by a CLI command.  Any socket left to the garbage collector (the test
+    # server's included) warns, which fails the test.
     from test_cli import make_workspace
 
     sessions = []
@@ -547,14 +537,12 @@ def test_http_sessions_are_closed(server, tmp_path, monkeypatch):
             super().close()
 
     monkeypatch.setattr(requests, "Session", Session)
-    base_url, handler = server
+    base_url, _ = server
     with HttpBackend(_config(base_url)) as backend:
         assert backend.complete("s", "u")[0] == "<label>ok</label>"
-    handler.script = [(200, {"data": [{"embedding": [0.5, 1.0]}]})]
-    assert fetch_embeddings(_config(base_url), [("a", "text")]).dimension == 2
     config_path = make_workspace(tmp_path)
     http = ["--set", 'backend.type="http"', "--set", f'backend.base_url="{base_url}"']
     assert main(["--config", str(config_path), *http, "assign"]) == 0
-    assert len(sessions) == 3 and all(s.closed for s in sessions)
+    assert len(sessions) == 2 and all(s.closed for s in sessions)
     del backend
     gc.collect()

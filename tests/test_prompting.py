@@ -1,3 +1,4 @@
+import hashlib
 import random
 import string
 
@@ -46,6 +47,41 @@ def test_rendered_label_enumeration_follows_space_order():
             )
             positions = [user.index(f"- {label}") for label in space.labels]
             assert positions == sorted(positions), (name, kind)
+
+
+# sha256 of system, a NUL byte and user for each built-in prompt, rendered
+# with _PINNED_TEXT and one demo.  Every response-cache key and every
+# byte-identical rerun depends on these bytes.
+_PINNED_TEXT = "a fixed test text"
+_PINNED_PROMPTS = {
+    ("movie_sentiment", CANDIDATE_ASSIGNMENT):
+        "54ae3a5ad3f172ba3b1fe1a716f2936396ca1cc6d3c2cb96858ec011a9e7b7be",
+    ("movie_sentiment", FINAL_PREDICTION):
+        "f206f2842fdf032b9b4a03c55e7e3320b65219fc3ca4c7deb600066b0c021576",
+    ("cognitive_distortion", CANDIDATE_ASSIGNMENT):
+        "6c624a059b948271b3b7983223d71bcb3df140cadf2b816e562f5f3a4452398b",
+    ("cognitive_distortion", FINAL_PREDICTION):
+        "52089e4bf887db6e5df941fbf01a857de5e3ac534e7c22b325ccd5329f7bc8a3",
+    ("medical_abstracts", CANDIDATE_ASSIGNMENT):
+        "044a230041a43407ebbb7024edcd695099765c7085d0e0948916a3637111735b",
+    ("medical_abstracts", FINAL_PREDICTION):
+        "2ed2524f572928dcd9f6531d434334c347904c7fce92b3cd2356d058e8f59c88",
+}
+
+
+def test_builtin_prompt_bytes_are_pinned():
+    rendered = {}
+    for name, templates in BUILTIN_TEMPLATES.items():
+        space = BUILTIN_SPACES[name]
+        system, user = render_candidate_prompt(
+            templates[CANDIDATE_ASSIGNMENT], _PINNED_TEXT, space)
+        rendered[name, CANDIDATE_ASSIGNMENT] = f"{system}\0{user}"
+        system, user = render_final_prompt(
+            templates[FINAL_PREDICTION], [("one demo text", space.labels[0])], _PINNED_TEXT, space)
+        rendered[name, FINAL_PREDICTION] = f"{system}\0{user}"
+    digests = {key: hashlib.sha256(text.encode("utf-8")).hexdigest()
+               for key, text in rendered.items()}
+    assert digests == _PINNED_PROMPTS
 
 
 def test_missing_text_slot():
