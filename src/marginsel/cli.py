@@ -36,11 +36,12 @@ from .evalharness import (
     MethodSpec,
     NoEmbeddingStore,
     RunConfig,
+    RunReport,
     Selector,
-    alpha_sweep,
     load_records,
     predict_one,
     run_experiment,
+    run_sweep,
 )
 from .knn import load_embeddings
 from .llm_client import (
@@ -425,16 +426,17 @@ def cmd_eval(config: dict, args) -> int:
             f"macro_f1={row['mean_macro_f1']:.4f} +- {row['stdev_macro_f1']:.4f}{marker}"
         )
     print(f"report: {config['eval']['out_dir']}/report.json")
-    return _finish(ctx, report.failed_cells)
+    return _finish(ctx, report)
 
 
-def _finish(ctx: ExperimentContext, failed_cells: list[dict]) -> int:
-    """Report failed cells and backend calls; exit 3 if any cell failed."""
-    for cell in failed_cells:
+def _finish(ctx: ExperimentContext, report: RunReport) -> int:
+    """Report failed cells, backend calls and shared replies; exit 3 if any
+    cell failed."""
+    for cell in report.failed_cells:
         print(f"FAILED cell {cell['method']} shot={cell['shot']} seed={cell['seed']}: "
               f"{cell['error']}")
-    print(f"backend calls: {backend_calls(ctx.backend)}")
-    return 3 if failed_cells else 0
+    print(f"backend calls: {backend_calls(ctx.backend)}, shared replies: {report.shared_replies}")
+    return 3 if report.failed_cells else 0
 
 
 def cmd_sweep(config: dict, args) -> int:
@@ -443,12 +445,12 @@ def cmd_sweep(config: dict, args) -> int:
     cfg = RunConfig(**{**config["eval"], "methods": methods})
     ctx = _context(config, methods, cfg.fallback)
     with _closing(ctx.backend):
-        rows = alpha_sweep(ctx, cfg, alphas)
+        report, rows = run_sweep(ctx, cfg, alphas)
     for row in rows:
         mean = row["mean_macro_f1"]
         shown = "error" if mean is None else f"{mean:.4f}"
         print(f"alpha={row['alpha']:<5} mean_macro_f1={shown}")
-    return _finish(ctx, [c for row in rows for c in row["cells"] if c.get("error")])
+    return _finish(ctx, report)
 
 
 def cmd_predict(config: dict, args) -> int:

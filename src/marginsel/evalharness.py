@@ -6,8 +6,8 @@ split.  Methods: ``random`` (uniform demos), ``knn`` (cosine neighbors) and
 every test example, scores macro-F1, and persists per-example records so an
 interrupted run resumes without recomputing finished cells.  One
 ``Selector`` per run holds each test example's step-1 candidate set,
-neighbour ranking and draw orders, and is the one place a demo set is
-composed.  Reports carry per-cell scores, per-(method, shot) mean/stdev over
+neighbour ranking and draw orders, and the prediction of each distinct final
+prompt, which is asked once; it is the one place a demo set is composed.  Reports carry per-cell scores, per-(method, shot) mean/stdev over
 seeds, and a paired t-test marker against the baseline method.
 """
 
@@ -206,6 +206,17 @@ class RunReport:
     def failed_cells(self) -> list[dict]:
         return [c for c in self.cells if c.get("error")]
 
+    @property
+    def shared_replies(self) -> int:
+        """How many records share the reply of an earlier record's prompt."""
+        return len(self.records) - len({prompt_key(r) for r in self.records})
+
+
+def prompt_key(record: dict) -> tuple[str, ...]:
+    """A record's test id and demo ids in order: within a run, whose
+    templates and label space never change, they fix its final prompt."""
+    return (record["id"], *record["demo_ids"])
+
 
 def derive_seed(base_seed: int, *parts: str) -> int:
     """Stable per-example seed derivation (never the built-in hash, which is
@@ -240,7 +251,11 @@ class Selector:
     fallback's.  Each is made once, when a cell first needs it, and only the
     calling thread selects demos.  Every draw order goes ``depth`` deep, the
     largest shot count it serves, and every cell reads a prefix of it: a
-    hard quota round_half_up(alpha * n) is never more than n."""
+    hard quota round_half_up(alpha * n) is never more than n.
+    It also holds the parsed prediction of every final prompt it has asked,
+    by prompt_key, so a record whose prompt an earlier cell asked takes that
+    prediction, and each distinct prompt is sent once per selector, whether
+    or not the backend caches."""
 
     def __init__(self, ctx: ExperimentContext, fallback: str | None, depth: int):
         self.ctx = ctx
@@ -249,6 +264,7 @@ class Selector:
         self.step1: dict[str, CandidateSet] = {}
         self.rankings: dict[str, Ranking] = {}
         self.draws: dict[tuple[str, str, int], PrefixDraw] = {}
+        self.predictions: dict[tuple[str, ...], str] = {}
 
     def assign(self, tests: Sequence[Example], pool: Executor | None = None) -> None:
         """Step 1 for the test inputs that have no candidate set yet, with
@@ -322,18 +338,19 @@ class Selector:
     def predict(self, method: MethodSpec, shots: int, seed: int, tests: Sequence[Example],
                 pool: Executor | None = None) -> list[dict]:
         """One cell's records for ``tests``: step 1 for marginsel, then every
-        input's demos and final prompt here, only the requests through the
-        pool (or here, without one), and each reply parsed here; a malformed
+        input's demos here.  A prompt asked before takes its prediction; each
+        new one is rendered here, only its request goes through the pool (or
+        runs here, without one), and its reply is parsed here; a malformed
         reply predicts the INVALID token."""
         ctx = self.ctx
         if method.name == MARGINSEL:
             self.assign(tests, pool)
         records = []
-        inputs = []  # (demo (text, gold) pairs, test text) per record
+        asked = []  # (record, demo (text, gold) pairs, test text) per prompt not asked before
         for test in tests:
             sets = self.step1[test.id] if method.name == MARGINSEL else None
             demos, fell_back = self._demos(method, shots, test, seed)
-            records.append({
+            record = {
                 "method": method.label(),
                 "shot": shots,
                 "seed": seed,
@@ -344,16 +361,22 @@ class Selector:
                 "step1": (None if sets is None or sets.is_empty
                           else sorted(sets.labels_in(ctx.space))),
                 "fallback": fell_back,
-            })
-            inputs.append(([(ex.text, ex.gold) for ex, _ in demos], test.text))
+            }
+            records.append(record)
+            predicted = self.predictions.get(prompt_key(record))
+            if predicted is None:
+                asked.append((record, [(ex.text, ex.gold) for ex, _ in demos], test.text))
+            else:
+                record["predicted"] = predicted
         prompts = (render_final_prompt(ctx.final_template, pairs, text, ctx.space)
-                   for pairs, text in inputs)
-        for record, reply in zip(records, complete_all(ctx.backend, prompts, pool)):
+                   for _, pairs, text in asked)
+        for (record, _, _), reply in zip(asked, complete_all(ctx.backend, prompts, pool)):
             try:
                 record["predicted"] = parse_label_tags(reply, ctx.space, multi=False)
             except (NoTag, EmptySet, Ambiguous) as exc:
                 log.warning("final parse failed for %s: %s", record["id"], exc)
                 record["predicted"] = INVALID
+            self.predictions[prompt_key(record)] = record["predicted"]
         return records
 
 
@@ -405,8 +428,11 @@ def run_experiment(ctx: ExperimentContext, cfg: RunConfig) -> RunReport:
     failures are annotated rather than aborting the run, and a failed cell
     keeps the records it already had.  One Selector serves the run, so a
     test example's step 1 and neighbour ranking run at most once per run,
-    and each of its draw orders once per seed, as deep as the largest shot
-    count.
+    each of its draw orders once per seed, as deep as the largest shot
+    count, and each distinct final prompt is asked once: a later record
+    with the same test id and demo ids shares the first reply.  Records read
+    from the run directory do not count as asked, so a resumed run asks
+    their prompts again when a new record repeats one.
     One request pool of ``ctx.max_in_flight`` workers serves the whole run;
     only backend requests run in it, and everything else runs here, cell by
     cell in grid order."""
@@ -527,11 +553,18 @@ def _persist(report: RunReport, out_dir: Path, records_text: str) -> None:
 def alpha_sweep(
     ctx: ExperimentContext, cfg: RunConfig, alphas: Sequence[float]
 ) -> list[dict]:
+    """run_sweep's table of per-alpha rows."""
+    return run_sweep(ctx, cfg, alphas)[1]
+
+
+def run_sweep(
+    ctx: ExperimentContext, cfg: RunConfig, alphas: Sequence[float]
+) -> tuple[RunReport, list[dict]]:
     """One run with a marginsel method per alpha value (cfg's shots, seeds
-    and fallback; its methods are replaced), aggregated into a table of
-    per-alpha mean macro-F1 over all shots and seeds.  The run directory is
-    ``<out_dir>/sweep``; the table goes to ``<out_dir>/sweep.json`` and
-    ``sweep.csv``."""
+    and fallback; its methods are replaced), and its report aggregated into
+    a table of per-alpha mean macro-F1 over all shots and seeds.  The run
+    directory is ``<out_dir>/sweep``; the table goes to
+    ``<out_dir>/sweep.json`` and ``sweep.csv``."""
     out_dir = Path(cfg.out_dir) if cfg.out_dir is not None else None
     methods = [MethodSpec(MARGINSEL, alpha=alpha) for alpha in alphas]
     run_dir = out_dir / "sweep" if out_dir else None
@@ -552,4 +585,4 @@ def alpha_sweep(
         table = [["alpha", "mean_macro_f1"]]
         table += [[repr(row["alpha"]), repr(row["mean_macro_f1"])] for row in rows]
         write_csv(out_dir / "sweep.csv", table)
-    return rows
+    return report, rows

@@ -19,6 +19,8 @@ def test_benchmark_grid_knn_2k_runs_correct():
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+    # 112 distinct prompts for 128 predictions: each is asked once per run
+    assert result["metrics"]["requests_per_prediction"]["value"] == 0.875
 
 
 def test_benchmark_hard_pool_20k_runs_correct():

@@ -291,6 +291,23 @@ def test_sweep_runs_over_alphas(tmp_path, capsys):
     assert [row["alpha"] for row in sweep] == [0.0, 1.0]
 
 
+def test_eval_and_sweep_print_shared_replies(tmp_path, capsys):
+    # knn's seed 2 asks seed 1's prompts for all 6 test inputs, and so does
+    # the sweep's alpha 0
+    config_path = make_workspace(tmp_path)
+    main(["--config", str(config_path), "assign"])
+    capsys.readouterr()
+    assert main(["--config", str(config_path), "eval"]) == 0
+    # 6 step-1 requests and 30 of the 36 final prompts
+    assert "backend calls: 36, shared replies: 6\n" in capsys.readouterr().out
+    assert main(["--config", str(config_path), "eval"]) == 0
+    assert "backend calls: 0, shared replies: 6\n" in capsys.readouterr().out
+    no_cache = ["--config", str(config_path), "--set", "backend.cache_dir=null"]
+    assert main([*no_cache, "--set", f'eval.out_dir="{tmp_path / "nocache"}"', "sweep"]) == 0
+    # 6 step-1 requests and 18 of the 24 final prompts
+    assert "backend calls: 24, shared replies: 6\n" in capsys.readouterr().out
+
+
 def test_analyze_emits_artifacts(tmp_path, capsys):
     config_path = make_workspace(tmp_path)
     main(["--config", str(config_path), "assign"])

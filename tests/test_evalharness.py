@@ -25,7 +25,9 @@ from marginsel.evalharness import (
     load_records,
     macro_f1,
     predict_one,
+    prompt_key,
     run_experiment,
+    run_sweep,
 )
 from marginsel.knn import knn_retrieve
 from marginsel.llm_client import CachedBackend, Transport, backend_calls
@@ -927,6 +929,88 @@ def test_results_do_not_depend_on_requests_in_flight(tmp_path):
     assert all(files == outputs[1, False] for files in outputs.values())
 
 
+class Resampling:
+    """A sampling backend: the first request for a final prompt gets the
+    wrapped backend's reply, and the n-th repeat the n-th label of the space,
+    so a prompt asked twice may get two replies."""
+
+    def __init__(self, backend, space):
+        self.backend = backend
+        self.model_name = backend.model_name
+        self.temperature = backend.temperature
+        self.labels = space.labels
+        self.asked = Counter()
+        self._lock = threading.Lock()
+
+    def complete(self, system, user):
+        with self._lock:
+            repeat = self.asked[system, user]
+            self.asked[system, user] += 1
+        if repeat and "comma-separated" not in user:
+            return f"<label>{self.labels[repeat % len(self.labels)]}</label>", 1
+        return self.backend.complete(system, user)
+
+
+def test_results_do_not_depend_on_the_cache(tmp_path):
+    # Uncached, a prompt asked again gets another reply: knn's seed 2 repeats
+    # seed 1, and the knn fallback of gamma inputs repeats the knn method.
+    outputs = {}
+    for in_flight in (1, 4):
+        for cached in (False, True):
+            ctx = replace(planted_pipeline(), max_in_flight=in_flight)
+            ctx.backend = Resampling(NoStep1For(ctx.backend, "gammasig"), ctx.space)
+            if cached:
+                ctx.backend = CachedBackend(ctx.backend, tmp_path / f"cache{in_flight}")
+            out = tmp_path / f"run-{in_flight}-{cached}"
+            assert not run_experiment(ctx, _every_method(out)).failed_cells
+            outputs[in_flight, cached] = [
+                (out / name).read_bytes() for name in ("records.jsonl", "report.json", "report.csv")
+            ]
+    assert all(files == outputs[1, False] for files in outputs.values())
+
+
+class PromptCounter:
+    """Passes requests through, counting each (system, user) pair."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.model_name = backend.model_name
+        self.temperature = backend.temperature
+        self.sent = Counter()
+        self._lock = threading.Lock()
+
+    def complete(self, system, user):
+        with self._lock:
+            self.sent[system, user] += 1
+        return self.backend.complete(system, user)
+
+    def finals(self):
+        return sum(1 for _, user in self.sent if "comma-separated" not in user)
+
+
+def test_each_distinct_prompt_is_asked_once():
+    for in_flight in (1, 4):
+        ctx = replace(planted_pipeline(), max_in_flight=in_flight)
+        ctx.backend = counter = PromptCounter(NoStep1For(ctx.backend, "gammasig"))
+        report = run_experiment(ctx, _every_method())
+        assert not report.failed_cells
+        assert set(counter.sent.values()) == {1}
+        assert counter.finals() == len({prompt_key(r) for r in report.records})
+        # knn's seed 2 repeats seed 1 (9 inputs x 2 shots); the 3 gamma
+        # inputs have no step-1 set, so at alpha 0.5 they get knn's demos
+        # and at alpha 1 the knn fallback's (3 x 2 shots x 2 seeds each);
+        # and 4 marginsel records draw the same demo ids as an earlier cell
+        assert report.shared_replies == 18 + 12 + 12 + 4
+
+        ctx = replace(planted_pipeline(), max_in_flight=in_flight)
+        ctx.backend = counter = PromptCounter(ctx.backend)
+        report, _ = run_sweep(ctx, _every_method(), [0.0, 0.5, 0.9, 1.0])
+        assert not report.failed_cells
+        assert set(counter.sent.values()) == {1}
+        assert counter.finals() == len({prompt_key(r) for r in report.records})
+        assert report.shared_replies > 0
+
+
 def test_a_run_starts_at_most_max_in_flight_threads(monkeypatch):
     started = []
     start = threading.Thread.start
@@ -1052,7 +1136,8 @@ class FinalCounter(Step1Counter):
 
 def test_alpha_sweep_is_one_run(tmp_path):
     ctx = planted_pipeline()
-    ctx.backend = FinalCounter(ctx.backend)
+    sent = PromptCounter(ctx.backend)
+    ctx.backend = FinalCounter(sent)
     alphas = [0.5, 0.9, 1.0]
 
     def cfg(out_dir):
@@ -1066,9 +1151,12 @@ def test_alpha_sweep_is_one_run(tmp_path):
 
     rows = alpha_sweep(ctx, cfg(tmp_path / "out"), alphas)
     assert [r["alpha"] for r in rows] == alphas
-    assert (ctx.backend.step1, ctx.backend.final) == (9, 3 * 2 * 2 * 9)
     assert not (tmp_path / "out" / "records.jsonl").exists()  # eval's place
     swept = (tmp_path / "out" / "sweep" / "records.jsonl").read_text().splitlines()
+    # one final request per distinct prompt: 67 of the 3 * 2 * 2 * 9 records
+    distinct = {prompt_key(json.loads(r)) for r in swept}
+    assert (ctx.backend.step1, ctx.backend.final) == (9, len(distinct)) == (9, 67)
+    assert len(swept) == 3 * 2 * 2 * 9 and set(sent.sent.values()) == {1}
     for alpha in alphas:
         method = MethodSpec("marginsel", alpha=alpha)
         solo_dir = tmp_path / f"solo-{alpha}"
