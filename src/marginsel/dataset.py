@@ -7,6 +7,7 @@ Datasets are UTF-8 JSON-lines files, one object per line with keys ``id``,
 from __future__ import annotations
 
 import json
+import numbers
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -138,8 +139,14 @@ def stratified_split(
     global test size also hits round-half-up(test_fraction * N).
 
     Identical (dataset, fraction, seed) always produces identical membership.
-    Original dataset order is preserved within each side.
+    Original dataset order is preserved within each side.  Raises ValueError
+    for a fraction that is not a real number or a seed that is not an int;
+    bools are refused for both.
     """
+    if isinstance(test_fraction, bool) or not isinstance(test_fraction, numbers.Real):
+        raise ValueError(f"test_fraction must be a real number, not {test_fraction!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"split_seed must be an integer, not {seed!r}")
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must lie strictly between 0 and 1")
     groups: dict[str, list[int]] = {}

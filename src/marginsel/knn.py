@@ -108,7 +108,7 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
                 if not isinstance(record, dict) or "id" not in record or "vector" not in record:
                     raise EmbeddingParseError(f"{path}, line {line_no}: need 'id' and 'vector'")
                 if not isinstance(record["vector"], list) or not all(
-                    isinstance(x, (int, float)) for x in record["vector"]
+                    type(x) in (int, float) for x in record["vector"]
                 ):
                     raise EmbeddingParseError(f"{path}, line {line_no}: vector is not numeric")
                 yield record["id"], record["vector"]

@@ -610,6 +610,18 @@ def test_shots_seeds_and_alphas_must_be_well_typed(tmp_path, capsys):
     assert (tmp_path / "cache" / "responses.jsonl").read_bytes() == cached
 
 
+def test_split_fraction_and_seed_must_be_well_typed(tmp_path, capsys):
+    config_path = make_workspace(tmp_path)
+    for override in ('dataset.test_fraction="0.25"', "dataset.test_fraction=true",
+                     "dataset.split_seed=[3]", 'dataset.split_seed="x"',
+                     "dataset.split_seed=1.5", "dataset.split_seed=true"):
+        capsys.readouterr()
+        assert main(["--config", str(config_path), "--set", override, "assign"]) == 2, override
+        err = capsys.readouterr().err
+        assert "config error" in err and override.split("=")[0].removeprefix("dataset.") in err, err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_python_m_marginsel_runs_the_cli():
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -53,6 +53,13 @@ def test_load_embeddings_rejects_nan(tmp_path):
         load_embeddings(path)
 
 
+def test_load_embeddings_rejects_bools(tmp_path):
+    path = tmp_path / "emb.jsonl"
+    path.write_text('{"id": "a", "vector": [true, 0.5]}\n')
+    with pytest.raises(EmbeddingParseError, match="line 1: vector is not numeric"):
+        load_embeddings(path)
+
+
 def test_load_embeddings_rejects_duplicates_and_junk(tmp_path):
     dup = tmp_path / "dup.jsonl"
     write_jsonl(dup, [{"id": "a", "vector": [1]}, {"id": "a", "vector": [2]}])

@@ -8,7 +8,6 @@ from marginsel.theory import (
     NotSeparable,
     PromptTensors,
     ShapeMismatch,
-    TooLarge,
     analytic_1d_errors,
     decompose,
     delta_w_icl,
@@ -236,31 +235,88 @@ def test_duplicated_far_point_is_not_support():
     assert np.all(extended.beta[-2:] == 0.0)
 
 
-def test_not_separable_and_too_large():
+def test_not_separable():
     with pytest.raises(NotSeparable):
         solve_hard_margin(
             np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([1.0, -1.0, 1.0, -1.0])
         )
     with pytest.raises(NotSeparable):
         solve_hard_margin(np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))
-    with pytest.raises(TooLarge):
+    # a class is missing, whatever the size
+    with pytest.raises(NotSeparable):
         solve_hard_margin(np.zeros((65, 1)), np.ones(65))
+    # XOR: no line separates the diagonals, so the dual is unbounded
+    with pytest.raises(NotSeparable):
+        solve_hard_margin(
+            np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]]),
+            np.array([1.0, 1.0, -1.0, -1.0]),
+        )
+    # random labels in the plane: the dual grows until it overflows, which
+    # must neither warn nor certify
+    rng = np.random.default_rng(2)
+    with pytest.raises(NotSeparable):
+        solve_hard_margin(rng.normal(size=(30, 2)), rng.choice([-1.0, 1.0], 30))
 
 
-def test_active_set_count_is_bounded_before_enumerating():
-    # 64 points in 16 dimensions would mean about 10^15 candidate active sets.
+def test_large_instances_certify():
+    # 64 points in 16 dimensions, about 10^15 candidate active sets, which
+    # enumeration could never reach: one dual solve and one certificate do.
     rng = np.random.default_rng(0)
     points = rng.normal(size=(64, 16))
     labels = np.where(points[:, 0] > 0, 1.0, -1.0)
     start = time.perf_counter()
-    with pytest.raises(TooLarge, match="active sets"):
-        solve_hard_margin(points, labels)
-    assert time.perf_counter() - start < 0.5
+    problem = solve_hard_margin(points, labels)
+    assert time.perf_counter() - start < 5.0
+    assert max(kkt_report(problem).values()) < 1e-8
+    wide_rng = np.random.default_rng(1)
+    wide = wide_rng.normal(size=(200, 64))
+    problem = solve_hard_margin(wide, np.where(wide @ wide_rng.normal(size=64) > 0, 1.0, -1.0))
+    assert max(kkt_report(problem).values()) < 1e-8
+    # 120 points in 240 dimensions: most are support vectors, and the QP
+    # needs more than SLSQP's default 100 iterations
+    tall_rng = np.random.default_rng(0)
+    tall = tall_rng.normal(size=(120, 240))
+    problem = solve_hard_margin(tall, np.where(tall @ tall_rng.normal(size=240) > 0, 1.0, -1.0))
+    assert max(kkt_report(problem).values()) < 1e-8
     # The largest instances the theory checks draw (12 points, 3-d) still solve.
     points = rng.uniform(-2.0, 2.0, size=(12, 3))
     labels = np.where(points @ np.array([1.0, -0.5, 0.25]) > 0, 1.0, -1.0)
     problem = solve_hard_margin(points, labels)
     assert max(kkt_report(problem).values()) < 1e-8
+
+
+def test_support_is_identified_on_a_seeded_sweep():
+    # the QP must be solved tightly enough that its support is exact: at
+    # SLSQP's default tolerance, one of these 100 instances keeps a
+    # spurious support point and fails the certificate
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        points, labels = random_separable_problem(rng)
+        problem = solve_hard_margin(points, labels)
+        assert max(kkt_report(problem).values()) < 1e-8
+
+
+def test_duplicated_support_vectors_share_their_dual_weight():
+    # the KKT system over the support is singular; least squares still
+    # certifies, splitting the positive side's weight between the copies
+    problem = solve_hard_margin(np.array([[1.0], [3.0], [3.0]]), np.array([-1.0, 1.0, 1.0]))
+    assert problem.weights[0] == pytest.approx(1.0, abs=1e-12)
+    assert problem.bias == pytest.approx(-2.0, abs=1e-12)
+    assert problem.beta[0] == pytest.approx(0.5, abs=1e-12)
+    assert problem.beta[1] + problem.beta[2] == pytest.approx(0.5, abs=1e-12)
+    assert max(kkt_report(problem).values()) < 1e-8
+
+
+def test_coincident_points_with_opposite_labels_are_not_separable():
+    for point in ([0.0, 0.0], [1.0, 2.0]):
+        with pytest.raises(NotSeparable):
+            solve_hard_margin(np.array([point, point]), np.array([1.0, -1.0]))
+
+
+def test_non_finite_points_are_refused_before_solving():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ShapeMismatch, match="finite"):
+            solve_hard_margin(np.array([[0.0], [bad], [3.0]]), np.array([-1.0, 1.0, 1.0]))
 
 
 def test_kkt_conditions_on_random_separable_instances():
