@@ -17,7 +17,6 @@ from .core import (
     MarginSelError,
     UnknownLabel,
     candidate_key,
-    candidate_set_from_key,
     candidate_set_from_labels,
     canonical_label,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "MarginSelError",
     "UnknownLabel",
     "candidate_key",
-    "candidate_set_from_key",
     "candidate_set_from_labels",
     "canonical_label",
 ]

@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import analysis, theory
+from . import analysis
 from .core import (
     Example,
     LabelSpace,
@@ -190,7 +190,42 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     config = _merge(DEFAULT_CONFIG, user)
     for assignment in overrides:
         config = _apply_override(config, assignment)
+    _check_types(config)
     return config
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+_STRING_KEYS = {"templates.builtin", "backend.base_url", "backend.model", "backend.api_key_env",
+                "backend.mock_default", "eval.baseline"}
+
+
+def _check_types(config: dict) -> None:
+    """Refuse a value of the wrong JSON type before any command hands it on
+    (an int path would be opened as a file descriptor).  Every ``*path`` and
+    ``*dir`` key and each of _STRING_KEYS takes a string, or null where its
+    default is null."""
+    checks = []
+    for section, defaults in DEFAULT_CONFIG.items():
+        for key, default in defaults.items() if isinstance(defaults, dict) else ():
+            if key.endswith(("path", "dir")) or f"{section}.{key}" in _STRING_KEYS:
+                value = config[section][key]
+                checks.append((f"{section}.{key}", value,
+                               "a string" if default is not None else "a string or null",
+                               isinstance(value, str) or (value is None and default is None)))
+    b = config["backend"]
+    checks += [
+        ("labels", config["labels"], "a list of strings", _strings(config["labels"])),
+        ("backend.mock_rules", b["mock_rules"], "an object of string lists",
+         isinstance(b["mock_rules"], dict) and all(map(_strings, b["mock_rules"].values()))),
+        ("sweep.alphas", config["sweep"]["alphas"], "a list",
+         isinstance(config["sweep"]["alphas"], list)),
+    ]
+    for key, value, what, ok in checks:
+        if not ok:
+            raise ConfigError(f"config key {key!r} must be {what}, not {json.dumps(value)}")
 
 
 # --------------------------------------------------------------------------
@@ -536,6 +571,8 @@ def cmd_analyze(config: dict, args) -> int:
 
 
 def cmd_theory_check(config: dict, args) -> int:
+    from . import theory  # scipy.optimize loads for this command only
+
     checks = dict(config["theory"])
     out_path = Path(checks.pop("out_path"))
     report = theory.run_theory_checks(**checks)

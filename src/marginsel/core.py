@@ -135,17 +135,6 @@ def candidate_key(cs: CandidateSet) -> str:
     return "".join("1" if cs.bits >> i & 1 else "0" for i in range(cs.size))
 
 
-def candidate_set_from_key(key: str, space: LabelSpace) -> CandidateSet:
-    """Inverse of :func:`candidate_key` for the given space."""
-    if len(key) != len(space) or any(ch not in "01" for ch in key):
-        raise ValueError(f"bad candidate key {key!r} for a {len(space)}-label space")
-    bits = 0
-    for i, ch in enumerate(key):
-        if ch == "1":
-            bits |= 1 << i
-    return CandidateSet(bits, len(space))
-
-
 @dataclass(frozen=True)
 class Example:
     """A single text instance with its gold label."""

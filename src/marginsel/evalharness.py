@@ -25,8 +25,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
-from scipy import stats as scipy_stats
-
 from .core import (
     CandidateSet,
     Example,
@@ -519,7 +517,9 @@ def _summarize(cells: list[dict], cfg: RunConfig) -> list[dict]:
                 diffs = [x - y for x, y in paired]
                 pvalue = None
                 if max(diffs) - min(diffs) > 1e-12:
-                    pvalue = float(scipy_stats.ttest_rel(*zip(*paired)).pvalue)
+                    from scipy import stats  # loaded at the first p-value only
+
+                    pvalue = float(stats.ttest_rel(*zip(*paired)).pvalue)
                 row["p_vs_baseline"] = pvalue
                 row["significant_vs_baseline"] = pvalue is not None and pvalue < 0.05
         summary.append(row)

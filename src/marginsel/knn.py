@@ -107,6 +107,8 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
                     raise EmbeddingParseError(f"{path}, line {line_no}: invalid JSON: {exc.msg}")
                 if not isinstance(record, dict) or "id" not in record or "vector" not in record:
                     raise EmbeddingParseError(f"{path}, line {line_no}: need 'id' and 'vector'")
+                if not isinstance(record["id"], str):
+                    raise EmbeddingParseError(f"{path}, line {line_no}: id is not a string")
                 if not isinstance(record["vector"], list) or not all(
                     type(x) in (int, float) for x in record["vector"]
                 ):

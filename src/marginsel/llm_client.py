@@ -26,11 +26,12 @@ import time
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
-
-import requests
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
 
 from .core import CandidateSet, LabelSpace, MarginSelError, candidate_set_from_labels, canonical_label
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -107,6 +108,8 @@ class HttpBackend:
         self.calls = 0
         self._calls_lock = threading.Lock()
         self.jitter = random.Random()
+        import requests  # loaded only by the HTTP backend
+
         self._session = requests.Session()
 
     def close(self) -> None:
@@ -128,6 +131,8 @@ class HttpBackend:
         return headers
 
     def _post_json(self, payload: dict) -> tuple[dict, int]:
+        import requests
+
         cfg = self.config
         url = cfg.base_url.rstrip("/") + "/chat/completions"
         headers = self._headers()

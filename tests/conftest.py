@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from marginsel.core import Example, LabelSpace, canonical_label
+from marginsel.core import CandidateSet, Example, LabelSpace, canonical_label
 from marginsel.dataset import Dataset
 from marginsel.llm_client import MockRule, mock_multilabel
 from marginsel.core import candidate_key
@@ -15,6 +15,12 @@ from marginsel.prompting import (
 )
 
 _TAG = re.compile(r"<label>(.*?)</label>", re.DOTALL)
+
+
+def candidate_set_from_key(key: str, space: LabelSpace) -> CandidateSet:
+    """The candidate set whose candidate_key is key: character i is label i."""
+    assert len(key) == len(space) and set(key) <= {"0", "1"}, key
+    return CandidateSet(int(key[::-1], 2), len(space))
 
 
 @pytest.fixture

@@ -17,7 +17,6 @@ from marginsel.core import (
     Example,
     LabelSpace,
     candidate_key,
-    candidate_set_from_key,
 )
 from marginsel.dataset import LabelFrequency, label_frequency
 from marginsel.evalharness import (
@@ -42,7 +41,7 @@ from marginsel.theory import (
     run_theory_checks,
 )
 
-from conftest import make_dataset, planted_pipeline
+from conftest import candidate_set_from_key, make_dataset, planted_pipeline
 from test_cli import make_workspace
 
 RGB = LabelSpace(["red", "green", "blue"])

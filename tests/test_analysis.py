@@ -15,9 +15,11 @@ from marginsel.analysis import (
     dump_projection_input,
     step1_recall,
 )
-from marginsel.core import Example, LabelSpace, candidate_set_from_key, candidate_set_from_labels
+from marginsel.core import Example, LabelSpace, candidate_set_from_labels
 from marginsel.knn import load_embeddings
 from marginsel.selection import LookupEntry
+
+from conftest import candidate_set_from_key
 
 RGB = LabelSpace(["red", "green", "blue"])
 AB = LabelSpace(["a", "b"])

@@ -622,6 +622,33 @@ def test_split_fraction_and_seed_must_be_well_typed(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+def test_config_values_of_the_wrong_json_type_exit_2(tmp_path, capsys):
+    # Each command below reads its key.  Before the type check, an int path
+    # was opened as a file descriptor, most values raised an uncaught
+    # TypeError or AttributeError, and eval.baseline=5 ran with no p-values.
+    config_path = make_workspace(tmp_path)
+    assert main(["--config", str(config_path), "assign"]) == 0
+    cached = (tmp_path / "cache" / "responses.jsonl").read_bytes()
+    for override, command in (
+        ("eval.out_dir=5", "eval"), ("eval.out_dir=null", "eval"), ("eval.baseline=5", "eval"),
+        ("embeddings.path=5", "eval"), ("sweep.alphas=0.5", "sweep"),
+        ("lookup.path=5", "select --test-id e01"), ("lookup.path=null", "select --test-id e01"),
+        ("dataset.path=5", "assign"), ("backend.cache_dir=5", "assign"),
+        ("labels=[1, 2]", "assign"), ('labels="red"', "assign"),
+        ("backend.base_url=5", "assign"), ("backend.mock_default=5", "assign"),
+        ("backend.mock_rules=[1, 2]", "assign"), ('backend.mock_rules={"sigone": "red"}', "assign"),
+        ("templates.dir=[]", "assign"), ("templates.builtin=5", "assign"),
+        ("analyze.vectors_path=5", "analyze"), ("theory.out_path=5", "theory-check"),
+    ):
+        capsys.readouterr()
+        argv = ["--config", str(config_path), "--set", override, *command.split()]
+        assert main(argv) == 2, (override, command)
+        key = override.split("=")[0]
+        assert f"config error: config key {key!r} must be " in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+    assert (tmp_path / "cache" / "responses.jsonl").read_bytes() == cached
+
+
 def test_python_m_marginsel_runs_the_cli():
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -630,6 +657,45 @@ def test_python_m_marginsel_runs_the_cli():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "theory-check" in done.stdout
+
+
+_REPORT_HEAVY = ("import atexit, json, sys; atexit.register(lambda: print(json.dumps(sorted("
+                 "m for m in sys.modules if m.split('.')[0] in ('scipy', 'requests'))), "
+                 "file=sys.stderr)); ")
+_RUN_MARGINSEL = "import runpy; runpy.run_module('marginsel', run_name='__main__', alter_sys=True)"
+
+
+def _heavy_imports(tmp_path: Path, code: str, *args: str) -> set[str]:
+    """The scipy and requests modules loaded when a fresh interpreter has run
+    code with args as its command line; the last line on stderr lists them."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _REPORT_HEAVY + code, *args], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    return set(json.loads(done.stderr.splitlines()[-1]))
+
+
+def test_scipy_and_requests_load_only_where_they_are_used(tmp_path):
+    config_path = make_workspace(tmp_path)
+    cmd = (_RUN_MARGINSEL, "--config", str(config_path))
+    assert _heavy_imports(tmp_path, "import marginsel.cli") == set()
+    assert _heavy_imports(tmp_path, _RUN_MARGINSEL, "--help") == set()
+    for args in (["assign"],
+                 ["select", "--test-id", "e01", "--alpha", "0.5"],
+                 ["predict", "--test-id", "e01", "--method", "knn"],
+                 ["predict", "--test-id", "e01"],
+                 ["--set", "eval.seeds=[1]", "sweep"],
+                 ["--set", "eval.seeds=[1]", "eval"]):  # one seed: no p-value
+        assert _heavy_imports(tmp_path, *cmd, *args) == set(), args
+    report = tmp_path / "runs" / "report.json"
+    assert not any("p_vs_baseline" in row for row in json.loads(report.read_text())["summary"])
+    # The workspace's eval has two seeds, so it tests each method against random.
+    assert "scipy.stats" in _heavy_imports(tmp_path, *cmd, "eval")
+    assert any(row.get("p_vs_baseline") is not None
+               for row in json.loads(report.read_text())["summary"])
+    assert "scipy.optimize" in _heavy_imports(tmp_path, *cmd, "theory-check")
 
 
 def test_a_bad_dataset_line_names_the_file_and_line(tmp_path, capsys):

@@ -60,6 +60,16 @@ def test_load_embeddings_rejects_bools(tmp_path):
         load_embeddings(path)
 
 
+def test_load_embeddings_rejects_a_non_string_id(tmp_path):
+    # An int id would load and match no dataset id; a list id is unhashable.
+    for bad_id in (5, ["x"], None):
+        path = tmp_path / "emb.jsonl"
+        write_jsonl(path, [{"id": "a", "vector": [1.0]}, {"id": bad_id, "vector": [0.5]}])
+        with pytest.raises(EmbeddingParseError) as err:
+            load_embeddings(path)
+        assert str(err.value) == f"{path}, line 2: id is not a string"
+
+
 def test_load_embeddings_rejects_duplicates_and_junk(tmp_path):
     dup = tmp_path / "dup.jsonl"
     write_jsonl(dup, [{"id": "a", "vector": [1]}, {"id": "a", "vector": [2]}])

@@ -8,7 +8,6 @@ from marginsel.core import (
     CandidateSet,
     Example,
     LabelSpace,
-    candidate_set_from_key,
     candidate_set_from_labels,
 )
 from marginsel.dataset import LabelFrequency, label_frequency
@@ -33,7 +32,7 @@ from marginsel.selection import (
     weighted_sample,
 )
 
-from conftest import make_dataset, synthetic_templates
+from conftest import candidate_set_from_key, make_dataset, synthetic_templates
 
 RGB = LabelSpace(["red", "green", "blue"])
 
