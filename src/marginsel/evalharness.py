@@ -511,14 +511,16 @@ def _summarize(cells: list[dict], cfg: RunConfig) -> list[dict]:
                 (scores[s], base[s]) for s in sorted(scores) if s in base
             ]
             if len(paired) > 1:
+                # Loaded with the first p_vs_baseline column, whatever the
+                # scores, so a run's memory follows its grid, not its data.
+                from scipy import stats
+
                 # Constant paired differences have no variance to test, and
                 # ttest_rel on differences equal up to rounding reports a
                 # spurious p near 0 with a precision-loss warning.
                 diffs = [x - y for x, y in paired]
                 pvalue = None
                 if max(diffs) - min(diffs) > 1e-12:
-                    from scipy import stats  # loaded at the first p-value only
-
                     pvalue = float(stats.ttest_rel(*zip(*paired)).pvalue)
                 row["p_vs_baseline"] = pvalue
                 row["significant_vs_baseline"] = pvalue is not None and pvalue < 0.05

@@ -698,6 +698,18 @@ def test_scipy_and_requests_load_only_where_they_are_used(tmp_path):
     assert "scipy.optimize" in _heavy_imports(tmp_path, *cmd, "theory-check")
 
 
+def test_a_p_value_column_loads_scipy_stats_whatever_the_scores(tmp_path):
+    """Constant paired differences get a null p-value, yet load scipy.stats
+    as varying ones do: a run's peak memory follows its grid, not its data."""
+    code = ("from marginsel.evalharness import MethodSpec, RunConfig, _summarize; "
+            "cells = [{'method': m, 'shot': 2, 'seed': s, 'macro_f1': f + s / 10} "
+            "for m, f in (('random', 0.5), ('knn', 0.7)) for s in (1, 2)]; "
+            "rows = _summarize(cells, RunConfig([MethodSpec('random'), MethodSpec('knn')], "
+            "shots=[2], seeds=[1, 2])); "
+            "assert [r.get('p_vs_baseline', 'absent') for r in rows] == [None, 'absent'], rows")
+    assert "scipy.stats" in _heavy_imports(tmp_path, code)
+
+
 def test_a_bad_dataset_line_names_the_file_and_line(tmp_path, capsys):
     config_path = make_workspace(tmp_path)
     lines = (tmp_path / "data.jsonl").read_text().splitlines(keepends=True)
