@@ -25,6 +25,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .core import (
     CandidateSet,
     Example,
@@ -511,21 +513,31 @@ def _summarize(cells: list[dict], cfg: RunConfig) -> list[dict]:
                 (scores[s], base[s]) for s in sorted(scores) if s in base
             ]
             if len(paired) > 1:
-                # Loaded with the first p_vs_baseline column, whatever the
-                # scores, so a run's memory follows its grid, not its data.
-                from scipy import stats
-
-                # Constant paired differences have no variance to test, and
-                # ttest_rel on differences equal up to rounding reports a
-                # spurious p near 0 with a precision-loss warning.
-                diffs = [x - y for x, y in paired]
-                pvalue = None
-                if max(diffs) - min(diffs) > 1e-12:
-                    pvalue = float(stats.ttest_rel(*zip(*paired)).pvalue)
+                pvalue = _paired_pvalue([x - y for x, y in paired])
                 row["p_vs_baseline"] = pvalue
                 row["significant_vs_baseline"] = pvalue is not None and pvalue < 0.05
         summary.append(row)
     return summary
+
+
+def _paired_pvalue(diffs: list[float]) -> float | None:
+    """The two-sided paired t-test p-value of the differences a - b, or None
+    when they are constant.  Bit-equal to scipy.stats' ``ttest_rel(a, b).pvalue``:
+    the arithmetic its ``ttest_1samp`` runs on a - b, then the same ``stdtr``."""
+    # Loaded with the first p_vs_baseline column, whatever the scores, so a
+    # run's memory follows its grid, not its data.
+    from scipy.special import stdtr
+
+    # Constant differences have no variance to test, and the t-test on
+    # differences equal up to rounding reports a spurious p near 0.
+    if not max(diffs) - min(diffs) > 1e-12:
+        return None
+    d = np.array(diffs, dtype=float)
+    n = len(d)
+    mean = np.mean(d)
+    var = np.mean((d - mean) ** 2) * (n / (n - 1.0))
+    t = mean / np.sqrt(var / n)
+    return float(2 * stdtr(float(n - 1), -abs(t)))
 
 
 def _line(record: dict) -> str:
@@ -550,13 +562,6 @@ def _persist(report: RunReport, out_dir: Path, records_text: str) -> None:
             ]
         )
     write_csv(out_dir / "report.csv", rows)
-
-
-def alpha_sweep(
-    ctx: ExperimentContext, cfg: RunConfig, alphas: Sequence[float]
-) -> list[dict]:
-    """run_sweep's table of per-alpha rows."""
-    return run_sweep(ctx, cfg, alphas)[1]
 
 
 def run_sweep(

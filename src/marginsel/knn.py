@@ -95,6 +95,7 @@ def build_store(items: Iterable[tuple[str, Sequence[float]]]) -> EmbeddingStore:
 def load_embeddings(path: str | Path) -> EmbeddingStore:
     """Load a JSON-lines embedding file with fields ``id`` and ``vector``.
     Lines starting with '#' and blank lines are skipped."""
+    numeric = frozenset((int, float))  # json.loads's number types; not bool
 
     def records():
         with open(path, encoding="utf-8") as fh:
@@ -109,11 +110,10 @@ def load_embeddings(path: str | Path) -> EmbeddingStore:
                     raise EmbeddingParseError(f"{path}, line {line_no}: need 'id' and 'vector'")
                 if not isinstance(record["id"], str):
                     raise EmbeddingParseError(f"{path}, line {line_no}: id is not a string")
-                if not isinstance(record["vector"], list) or not all(
-                    type(x) in (int, float) for x in record["vector"]
-                ):
+                vector = record["vector"]
+                if not isinstance(vector, list) or not numeric.issuperset(map(type, vector)):
                     raise EmbeddingParseError(f"{path}, line {line_no}: vector is not numeric")
-                yield record["id"], record["vector"]
+                yield record["id"], vector
 
     return build_store(records())
 

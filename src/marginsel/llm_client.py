@@ -19,6 +19,7 @@ import itertools
 import json
 import logging
 import math
+import numbers
 import os
 import random
 import threading
@@ -69,10 +70,16 @@ class BackendConfig:
     backoff_base: float = 0.5
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if not 0 <= self.max_retries <= 10:
-            raise ValueError("max_retries must lie in [0, 10]")
+        for name, kind, in_range, what in (
+            ("temperature", numbers.Real, lambda x: x >= 0, "a real number >= 0"),
+            ("max_retries", int, lambda x: 0 <= x <= 10, "an integer in [0, 10]"),
+            ("timeout", numbers.Real, lambda x: x > 0, "a real number > 0"),
+            ("max_output_tokens", int, lambda x: x >= 1, "an integer >= 1"),
+            ("backoff_base", numbers.Real, lambda x: x >= 0, "a real number >= 0"),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind) or not in_range(value):
+                raise ValueError(f"backend.{name} must be {what}, not {value!r}")
 
 
 class Backend(Protocol):
@@ -292,7 +299,6 @@ class CachedBackend:
         self._lock = threading.Lock()
         self._replies: dict[bytes, str] = {}
         self._indexed = 0  # bytes of the file read into _replies
-        _import_entry_files(cache_dir, self.path)
         self._read_new()
 
     def _read_new(self) -> None:
@@ -354,20 +360,6 @@ def _append(path: Path, data: bytes) -> tuple[int, int]:
             data = b"\n" + data
         fh.write(data)
     return start, start + len(data)
-
-
-def _import_entry_files(cache_dir: Path, path: Path) -> None:
-    """Append the entries of the older layout, one ``<sha256>.json`` file per
-    request holding the bytes of one line, to ``path``; then delete them."""
-    files = sorted(cache_dir.glob("[0-9a-f]" * 64 + ".json"))
-    lines = []
-    for entry_file in files:
-        with contextlib.suppress(FileNotFoundError):  # another process imported it
-            lines.append(entry_file.read_bytes().replace(b"\n", b" ") + b"\n")
-    if lines:
-        _append(path, b"".join(lines))
-    for entry_file in files:
-        entry_file.unlink(missing_ok=True)
 
 
 def backend_calls(backend: Backend) -> int:

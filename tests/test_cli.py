@@ -649,6 +649,25 @@ def test_config_values_of_the_wrong_json_type_exit_2(tmp_path, capsys):
     assert (tmp_path / "cache" / "responses.jsonl").read_bytes() == cached
 
 
+def test_backend_numbers_of_the_wrong_type_or_range_exit_2(tmp_path, capsys):
+    # Before BackendConfig checked its numbers, max_retries=null and
+    # temperature="hot" raised an uncaught TypeError, and the rest were
+    # accepted.  Each value is refused before any request is sent.
+    config_path = make_workspace(tmp_path)
+    http = ["--set", 'backend.type="http"', "--set", 'backend.base_url="http://127.0.0.1:9"']
+    for override in ("backend.max_retries=null", 'backend.temperature="hot"',
+                     'backend.timeout="x"', "backend.timeout=-1", "backend.timeout=0",
+                     "backend.max_output_tokens=2.5", "backend.max_output_tokens=0",
+                     "backend.backoff_base=null", "backend.backoff_base=-0.5",
+                     "backend.max_retries=true", "backend.max_retries=11",
+                     "backend.temperature=false", "backend.timeout=true"):
+        capsys.readouterr()
+        assert main(["--config", str(config_path), *http, "--set", override, "assign"]) == 2
+        key = override.split("=")[0]
+        assert f"config error: {key} must be " in capsys.readouterr().err, override
+    assert not (tmp_path / "cache").exists() and not (tmp_path / "lookup.jsonl").exists()
+
+
 def test_python_m_marginsel_runs_the_cli():
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -691,23 +710,27 @@ def test_scipy_and_requests_load_only_where_they_are_used(tmp_path):
         assert _heavy_imports(tmp_path, *cmd, *args) == set(), args
     report = tmp_path / "runs" / "report.json"
     assert not any("p_vs_baseline" in row for row in json.loads(report.read_text())["summary"])
-    # The workspace's eval has two seeds, so it tests each method against random.
-    assert "scipy.stats" in _heavy_imports(tmp_path, *cmd, "eval")
+    # The workspace's eval has two seeds, so it tests each method against
+    # random: with scipy.special's t distribution, never with scipy.stats.
+    loaded = _heavy_imports(tmp_path, *cmd, "eval")
+    assert "scipy.special" in loaded and "scipy.stats" not in loaded, sorted(loaded)
     assert any(row.get("p_vs_baseline") is not None
                for row in json.loads(report.read_text())["summary"])
     assert "scipy.optimize" in _heavy_imports(tmp_path, *cmd, "theory-check")
 
 
-def test_a_p_value_column_loads_scipy_stats_whatever_the_scores(tmp_path):
-    """Constant paired differences get a null p-value, yet load scipy.stats
-    as varying ones do: a run's peak memory follows its grid, not its data."""
+def test_a_p_value_column_loads_scipy_special_whatever_the_scores(tmp_path):
+    """Constant paired differences get a null p-value, yet load scipy.special
+    as varying ones do: a run's peak memory follows its grid, not its data.
+    Neither loads scipy.stats."""
     code = ("from marginsel.evalharness import MethodSpec, RunConfig, _summarize; "
             "cells = [{'method': m, 'shot': 2, 'seed': s, 'macro_f1': f + s / 10} "
             "for m, f in (('random', 0.5), ('knn', 0.7)) for s in (1, 2)]; "
             "rows = _summarize(cells, RunConfig([MethodSpec('random'), MethodSpec('knn')], "
             "shots=[2], seeds=[1, 2])); "
             "assert [r.get('p_vs_baseline', 'absent') for r in rows] == [None, 'absent'], rows")
-    assert "scipy.stats" in _heavy_imports(tmp_path, code)
+    loaded = _heavy_imports(tmp_path, code)
+    assert "scipy.special" in loaded and "scipy.stats" not in loaded, sorted(loaded)
 
 
 def test_a_bad_dataset_line_names_the_file_and_line(tmp_path, capsys):

@@ -19,8 +19,8 @@ from marginsel.evalharness import (
     MethodSpec,
     RunConfig,
     _line,
+    _paired_pvalue,
     _summarize,
-    alpha_sweep,
     derive_seed,
     load_records,
     macro_f1,
@@ -393,6 +393,32 @@ def test_constant_paired_differences_are_not_tested():
         (row,) = [r for r in _summarize(cells, cfg) if r["method"] == "knn"]
     assert row["p_vs_baseline"] is None
     assert row["significant_vs_baseline"] is False
+
+
+def test_paired_pvalue_is_bit_equal_to_ttest_rel():
+    """Over random paired samples of 2 to 20 scores, the p-value computed from
+    numpy and scipy.special equals scipy.stats.ttest_rel's exactly, for
+    t < 0, t = 0 with nonzero variance, t > 0, and |t| > 2, where stdtr
+    takes its incomplete-beta branch."""
+    rng = random.Random(0)
+    seen = Counter()
+    for trial in range(4000):
+        n = 2 + trial % 19
+        if trial % 5 == 0:  # differences symmetric about 0, exact in binary: t = 0
+            half = [rng.randint(1, 16) / 16 for _ in range(n // 2)]
+            diffs = half + [-x for x in half] + [0.0] * (n % 2)
+            b = [rng.randint(0, 64) / 64 for _ in range(n)]
+            a = [y + d for y, d in zip(b, diffs)]
+        else:
+            b = [rng.random() for _ in range(n)]
+            shift = rng.choice([-0.2, -0.02, 0.0, 0.02, 0.2])
+            a = [y + shift + rng.gauss(0, 0.05) for y in b]
+        expected = scipy_stats.ttest_rel(a, b)
+        assert _paired_pvalue([x - y for x, y in zip(a, b)]) == expected.pvalue, (a, b)
+        t = expected.statistic
+        seen["t < 0" if t < 0 else "t = 0" if t == 0 else "t > 0"] += 1
+        seen["|t| > 2"] += abs(t) > 2
+    assert min(seen.values()) >= 100, seen
 
 
 class Interrupt(Exception):
@@ -814,7 +840,7 @@ def test_duplicate_methods_are_rejected():
     with pytest.raises(ValueError, match="more than once"):
         RunConfig(methods=[MethodSpec("random"), MethodSpec("random")])
     with pytest.raises(ValueError, match="more than once"):
-        alpha_sweep(
+        run_sweep(
             planted_pipeline(),
             RunConfig(methods=[MethodSpec("random")], shots=[2], seeds=[1]),
             alphas=[1, 1.0],
@@ -1090,7 +1116,7 @@ def test_alpha_sweep_endpoints_match_dedicated_methods(tmp_path):
     knn_report = run_experiment(ctx, cfg)
 
     ctx2 = planted_pipeline()
-    sweep_rows = alpha_sweep(
+    _, sweep_rows = run_sweep(
         ctx2,
         RunConfig(
             methods=[MethodSpec("marginsel", alpha=1.0)],
@@ -1149,7 +1175,7 @@ def test_alpha_sweep_is_one_run(tmp_path):
             out_dir=out_dir,
         )
 
-    rows = alpha_sweep(ctx, cfg(tmp_path / "out"), alphas)
+    rows = run_sweep(ctx, cfg(tmp_path / "out"), alphas)[1]
     assert [r["alpha"] for r in rows] == alphas
     assert not (tmp_path / "out" / "records.jsonl").exists()  # eval's place
     swept = (tmp_path / "out" / "sweep" / "records.jsonl").read_text().splitlines()
@@ -1175,9 +1201,9 @@ def test_alpha_sweep_shape_and_determinism(tmp_path):
         fallback="random",
         out_dir=None,
     )
-    rows = alpha_sweep(ctx, cfg, alphas=[0.0, 0.5, 1.0])
+    rows = run_sweep(ctx, cfg, alphas=[0.0, 0.5, 1.0])[1]
     assert [r["alpha"] for r in rows] == [0.0, 0.5, 1.0]
-    rows2 = alpha_sweep(planted_pipeline(), cfg, alphas=[0.0, 0.5, 1.0])
+    rows2 = run_sweep(planted_pipeline(), cfg, alphas=[0.0, 0.5, 1.0])[1]
     assert [r["mean_macro_f1"] for r in rows] == [r["mean_macro_f1"] for r in rows2]
 
 

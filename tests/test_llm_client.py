@@ -1,5 +1,4 @@
 import gc
-import hashlib
 import json
 import os
 import random
@@ -495,23 +494,6 @@ def test_a_torn_last_line_is_skipped(tmp_path):
     for user in ("x kept", "x torn", "x new"):
         assert fresh.complete("s", user)[1] == 0
     assert inner.calls == calls
-
-
-def test_an_old_cache_directory_is_imported(tmp_path):
-    # The older layout: one <sha256>.json file per request.
-    inner = MockBackend(MockRule({"x": frozenset({"positive"})}, default="neutral"), SST5)
-    entry = {"model": inner.model_name, "temperature": 0.0, "system": "s",
-             "user": "x old", "reply": "<label>very positive</label>"}
-    digest = hashlib.sha256("\x1f".join([inner.model_name, "s", "x old", "0.0"]).encode()).hexdigest()
-    old = tmp_path / f"{digest}.json"
-    old.write_text(json.dumps(entry, sort_keys=True))
-    (tmp_path / "notes.json").write_text("{}")  # not a cache entry: kept
-    cache = CachedBackend(inner, tmp_path)
-    assert cache.complete("s", "x old") == ("<label>very positive</label>", 0)
-    assert inner.calls == 0
-    assert not old.exists() and (tmp_path / "notes.json").exists()
-    lines = (tmp_path / "responses.jsonl").read_text().splitlines()
-    assert [json.loads(line) for line in lines] == [entry]
 
 
 @pytest.mark.filterwarnings(
