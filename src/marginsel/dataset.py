@@ -91,6 +91,8 @@ def load_dataset(path: str | Path, space: LabelSpace) -> Dataset:
     UnknownLabel, each naming the file and the line, or DuplicateId.
     """
     examples: list[Example] = []
+    # each gold is the space's own label string, shared by every row
+    labels = {label: label for label in space.labels}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -106,15 +108,10 @@ def load_dataset(path: str | Path, space: LabelSpace) -> Dataset:
                     raise ParseError(path, line_no, f"missing field {key!r}")
                 if not isinstance(record[key], str):
                     raise ParseError(path, line_no, f"field {key!r} is not a string")
-            if record["label"] not in space:
+            gold = labels.get(canonical_label(record["label"]))
+            if gold is None:
                 raise UnknownLabel(record["label"], path, line_no)
-            examples.append(
-                Example(
-                    id=record["id"],
-                    text=record["text"],
-                    gold=canonical_label(record["label"]),
-                )
-            )
+            examples.append(Example(id=record["id"], text=record["text"], gold=gold))
     return Dataset(space=space, examples=tuple(examples))
 
 

@@ -45,8 +45,10 @@ from .prompting import (
     EmptySet,
     NoTag,
     PromptTemplate,
+    join_prompt,
     parse_label_tags,
     render_candidate_prompt,  # step 1 renders in selection; bench/tracing.py spans this binding
+    render_demo_line,
     render_final_prompt,
 )
 from .selection import (
@@ -255,7 +257,11 @@ class Selector:
     It also holds the parsed prediction of every final prompt it has asked,
     by prompt_key, so a record whose prompt an earlier cell asked takes that
     prediction, and each distinct prompt is sent once per selector, whether
-    or not the backend caches."""
+    or not the backend caches.  The parts of those prompts are rendered and
+    parsed once per selector too: the demo line of each train example by
+    id, the instruction of each test input by id, and the prediction of each
+    distinct reply that parsed (a reply that does not parse is parsed, and
+    logged, again for each record that gets it)."""
 
     def __init__(self, ctx: ExperimentContext, fallback: str | None, depth: int):
         self.ctx = ctx
@@ -265,6 +271,9 @@ class Selector:
         self.rankings: dict[str, Ranking] = {}
         self.draws: dict[tuple[str, str, int], PrefixDraw] = {}
         self.predictions: dict[tuple[str, ...], str] = {}
+        self.lines: dict[str, str] = {}  # train id -> demo line
+        self.instructions: dict[str, str] = {}  # test id -> instruction
+        self.replies: dict[str, str] = {}  # reply -> predicted label
 
     def assign(self, tests: Sequence[Example], pool: Executor | None = None) -> None:
         """Step 1 for the test inputs that have no candidate set yet, with
@@ -335,18 +344,36 @@ class Selector:
             return self._uniform("fallback", shots, test, seed), True
         return [(e.example, e.source) for e in demo_set], False
 
+    def _prompt(self, demos: list[tuple[Example, str]], test: Example) -> tuple[str, str]:
+        """The final prompt of test with demos, byte for byte
+        render_final_prompt's, from the selector's demo lines and
+        instructions; a part not rendered before is rendered here."""
+        ctx = self.ctx
+        instruction = self.instructions.get(test.id)
+        if instruction is None:
+            # the zero-shot prompt is the instruction alone
+            _, instruction = render_final_prompt(ctx.final_template, (), test.text, ctx.space)
+            self.instructions[test.id] = instruction
+        lines = self.lines
+        for ex, _ in demos:
+            if ex.id not in lines:
+                lines[ex.id] = render_demo_line(ex.text, ex.gold)
+        return ctx.final_template.system, join_prompt([lines[ex.id] for ex, _ in demos],
+                                                      instruction)
+
     def predict(self, method: MethodSpec, shots: int, seed: int, tests: Sequence[Example],
                 pool: Executor | None = None) -> list[dict]:
         """One cell's records for ``tests``: step 1 for marginsel, then every
         input's demos here.  A prompt asked before takes its prediction; each
         new one is rendered here, only its request goes through the pool (or
-        runs here, without one), and its reply is parsed here; a malformed
-        reply predicts the INVALID token."""
+        runs here, without one), and its reply is parsed here, or takes the
+        prediction of the same reply parsed before; a malformed reply
+        predicts the INVALID token."""
         ctx = self.ctx
         if method.name == MARGINSEL:
             self.assign(tests, pool)
         records = []
-        asked = []  # (record, demo (text, gold) pairs, test text) per prompt not asked before
+        asked = []  # (record, demos, test) per prompt not asked before
         for test in tests:
             sets = self.step1[test.id] if method.name == MARGINSEL else None
             demos, fell_back = self._demos(method, shots, test, seed)
@@ -365,18 +392,20 @@ class Selector:
             records.append(record)
             predicted = self.predictions.get(prompt_key(record))
             if predicted is None:
-                asked.append((record, [(ex.text, ex.gold) for ex, _ in demos], test.text))
+                asked.append((record, demos, test))
             else:
                 record["predicted"] = predicted
-        prompts = (render_final_prompt(ctx.final_template, pairs, text, ctx.space)
-                   for _, pairs, text in asked)
+        prompts = (self._prompt(demos, test) for _, demos, test in asked)
+        replies = self.replies
         for (record, _, _), reply in zip(asked, complete_all(ctx.backend, prompts, pool)):
-            try:
-                record["predicted"] = parse_label_tags(reply, ctx.space, multi=False)
-            except (NoTag, EmptySet, Ambiguous) as exc:
-                log.warning("final parse failed for %s: %s", record["id"], exc)
-                record["predicted"] = INVALID
-            self.predictions[prompt_key(record)] = record["predicted"]
+            predicted = replies.get(reply)
+            if predicted is None:
+                try:
+                    predicted = replies[reply] = parse_label_tags(reply, ctx.space, multi=False)
+                except (NoTag, EmptySet, Ambiguous) as exc:
+                    log.warning("final parse failed for %s: %s", record["id"], exc)
+                    predicted = INVALID
+            record["predicted"] = self.predictions[prompt_key(record)] = predicted
         return records
 
 

@@ -88,13 +88,16 @@ def _sanitize_demo_text(text: str) -> str:
     return text.replace("<", "&lt;").replace(">", "&gt;")
 
 
-def render_demo_block(demos: Sequence[tuple[str, str]]) -> str:
-    """Render (text, label) demonstrations, each as the input followed by its
-    label inside label tags, in the exact order given."""
-    lines = []
-    for text, label in demos:
-        lines.append(f"Text: '{_sanitize_demo_text(text)}'\n<label>{label}</label>")
-    return "\n\n".join(lines)
+def render_demo_line(text: str, label: str) -> str:
+    """One (text, label) demonstration: the input followed by its label
+    inside label tags."""
+    return f"Text: '{_sanitize_demo_text(text)}'\n<label>{label}</label>"
+
+
+def join_prompt(demo_lines: Sequence[str], instruction: str) -> str:
+    """The final user prompt: the demonstration lines in the exact order
+    given, then the instruction, each part separated by a blank line."""
+    return "\n\n".join((*demo_lines, instruction))
 
 
 def render_final_prompt(
@@ -104,14 +107,12 @@ def render_final_prompt(
     space: LabelSpace,
 ) -> tuple[str, str]:
     """Render the single-label prediction prompt: demonstrations first (may
-    be empty, giving the pure zero-shot prompt), then the instruction with
-    the test text in its slot."""
+    be empty, giving the pure zero-shot prompt, which is the instruction
+    alone), then the instruction with the test text in its slot."""
     if template.kind != FINAL_PREDICTION:
         raise ValueError("template is not a final-prediction template")
-    user = _fill(template.user, test_text, space)
-    if demos:
-        user = render_demo_block(demos) + "\n\n" + user
-    return template.system, user
+    instruction = _fill(template.user, test_text, space)
+    return template.system, join_prompt([render_demo_line(*demo) for demo in demos], instruction)
 
 
 def parse_label_tags(

@@ -168,20 +168,25 @@ def assign_candidates(
 ) -> list[CandidateSet]:
     """Step 1 for inputs, training or test, in order: render each
     multi-label assignment prompt here, send the prompts through the request
-    pool (or here, without one), and parse each reply here into a candidate
-    set.
+    pool (or here, without one), and parse each distinct reply here, once,
+    into a candidate set that every input with that reply shares.
 
     A reply that carries no parseable known label yields the empty set
-    (logged, never fatal), which can never hard-match anything.
+    (logged for each input that gets it, never fatal), which can never
+    hard-match anything.
     """
     prompts = (render_candidate_prompt(template, text, space) for text in texts)
+    parsed: dict[str, CandidateSet] = {}
     candidates = []
     for text, reply in zip(texts, complete_all(backend, prompts, pool)):
-        try:
-            candidates.append(parse_label_tags(reply, space, multi=True))
-        except (NoTag, EmptySet) as exc:
-            log.warning("candidate parse failed for %.60r: %s", text, exc)
-            candidates.append(CandidateSet.empty(space))
+        candidate_set = parsed.get(reply)
+        if candidate_set is None:
+            try:
+                candidate_set = parsed[reply] = parse_label_tags(reply, space, multi=True)
+            except (NoTag, EmptySet) as exc:
+                log.warning("candidate parse failed for %.60r: %s", text, exc)
+                candidate_set = CandidateSet.empty(space)
+        candidates.append(candidate_set)
     return candidates
 
 

@@ -31,3 +31,15 @@ def test_benchmark_hard_pool_20k_runs_correct():
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_benchmark_rerun_warm_runs_correct():
+    command = [sys.executable, "bench/run.py", "--workload", "rerun-warm",
+               "--seed", "1", "--seconds", "0", "--trace", "0"]
+    done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    # one distinct prompt per prediction, every one answered from the warm cache
+    assert result["metrics"]["requests_per_prediction"]["value"] == 1.0

@@ -29,8 +29,10 @@ from marginsel.evalharness import (
     run_experiment,
     run_sweep,
 )
+from marginsel.dataset import Dataset
 from marginsel.knn import knn_retrieve
 from marginsel.llm_client import CachedBackend, Transport, backend_calls
+from marginsel.prompting import render_candidate_prompt, render_final_prompt
 
 from conftest import (
     MajorityEchoBackend,
@@ -169,6 +171,33 @@ def test_predict_one_invalid_after_one_request():
     )
     assert predicted == INVALID
     assert ctx.backend.calls == 1
+
+
+def test_each_record_with_an_unparsed_reply_logs_and_predicts_invalid(caplog):
+    # Two distinct final prompts get the same garbage reply: a reply that
+    # fails to parse is not remembered, so each record logs its own failure.
+    class GarbageFinals:
+        def __init__(self, backend):
+            self.backend = backend
+            self.model_name = backend.model_name
+            self.temperature = backend.temperature
+
+        def complete(self, system, user):
+            if "comma-separated" in user:
+                return self.backend.complete(system, user)
+            return "no tags here", 1
+
+    ctx = planted_pipeline()
+    ctx = replace(ctx, test=Dataset(ctx.space, ctx.test.examples[:2]),
+                  backend=GarbageFinals(ctx.backend))
+    with caplog.at_level("WARNING"):
+        report = run_experiment(ctx, RunConfig([MethodSpec("random")], shots=[2], seeds=[1]))
+    ids = [ex.id for ex in ctx.test.examples]
+    assert [r["id"] for r in report.records] == ids
+    assert [r["predicted"] for r in report.records] == [INVALID, INVALID]
+    failures = [r.getMessage() for r in caplog.records if "final parse failed" in r.getMessage()]
+    assert len(failures) == 2
+    assert all(f"final parse failed for {i}:" in message for i, message in zip(ids, failures))
 
 
 class FirstReplyGarbageBackend:
@@ -1035,6 +1064,28 @@ def test_each_distinct_prompt_is_asked_once():
         assert set(counter.sent.values()) == {1}
         assert counter.finals() == len({prompt_key(r) for r in report.records})
         assert report.shared_replies > 0
+
+
+def test_every_prompt_sent_is_the_reference_rendering():
+    # The selector renders each demo line and instruction once per run; what
+    # it sends must be what render_final_prompt and render_candidate_prompt
+    # give for each record, byte for byte.
+    for fallback in ("knn", "random"):
+        for in_flight in (1, 4):
+            ctx = replace(planted_pipeline(), max_in_flight=in_flight)
+            ctx.backend = counter = PromptCounter(NoStep1For(ctx.backend, "gammasig"))
+            report = run_experiment(ctx, replace(_every_method(), fallback=fallback))
+            assert not report.failed_cells
+            assert any(r["fallback"] for r in report.records)
+            expected = {}
+            for r in report.records:
+                demos = [(ctx.train.by_id(i).text, ctx.train.by_id(i).gold) for i in r["demo_ids"]]
+                expected[prompt_key(r)] = render_final_prompt(
+                    ctx.final_template, demos, ctx.test.by_id(r["id"]).text, ctx.space)
+            step1 = {render_candidate_prompt(ctx.candidate_template, ex.text, ctx.space)
+                     for ex in ctx.test.examples}
+            assert len(set(expected.values())) == len(expected) == counter.finals()
+            assert set(counter.sent) == set(expected.values()) | step1
 
 
 def test_a_run_starts_at_most_max_in_flight_threads(monkeypatch):

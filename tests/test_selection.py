@@ -91,13 +91,16 @@ def test_build_lookup_degraded_entry_on_bad_reply(caplog):
         def complete(self, system, user):
             return "no tags at all", 1
 
-    train = make_dataset(RGB, [("1", "whatever", "red")])
+    # both texts get the same bad reply, and each logs its own failure
+    train = make_dataset(RGB, [("1", "whatever", "red"), ("2", "anything", "green")])
     candidate_template, _ = synthetic_templates()
     with caplog.at_level("WARNING"):
         entries = build_lookup(train, NoTagBackend(), candidate_template)
-    assert len(entries) == 1
-    assert entries[0].candidates.is_empty
-    assert any("parse failed" in r.message for r in caplog.records)
+    assert len(entries) == 2
+    assert all(e.candidates.is_empty for e in entries)
+    failures = [r.getMessage() for r in caplog.records if "parse failed" in r.getMessage()]
+    assert len(failures) == 2
+    assert "'whatever'" in failures[0] and "'anything'" in failures[1]
 
 
 def test_lookup_round_trip_is_byte_identical(tmp_path):
