@@ -222,6 +222,8 @@ def _check_types(config: dict) -> None:
          isinstance(b["mock_rules"], dict) and all(map(_strings, b["mock_rules"].values()))),
         ("sweep.alphas", config["sweep"]["alphas"], "a list",
          isinstance(config["sweep"]["alphas"], list)),
+        ("eval.methods", config["eval"]["methods"], "a list",
+         isinstance(config["eval"]["methods"], list)),
     ]
     for key, value, what, ok in checks:
         if not ok:
@@ -383,10 +385,8 @@ def cmd_select(config: dict, args) -> int:
             "or rely on the eval fallback policy"
         )
     else:
-        result["demos"] = [
-            {"id": e.example.id, "gold": e.example.gold, "source": e.source}
-            for e in demos
-        ]
+        result["demos"] = [{"id": ex.id, "gold": ex.gold, "source": source}
+                           for ex, source in demos]
     print(json.dumps(result, indent=2))
     return 4 if "error" in result else 0
 
@@ -518,7 +518,7 @@ def cmd_analyze(config: dict, args) -> int:
         store = load_embeddings(a["vectors_path"])
         train, test = _datasets(config, space)
         golds = {ex.id: ex.gold for ds in (train, test) for ex in ds.examples}
-        vectors = {i: v for i, v in store.vectors.items()}
+        vectors = {i: store.matrix[row] for i, row in store.row.items()}
         missing = sorted(set(vectors) - set(golds))
         if missing:
             raise ConfigError(f"vectors with no gold label: {missing[:5]}")
@@ -636,7 +636,8 @@ def main(argv: list[str] | None = None) -> int:
     except (Transport, Timeout, AuthMissing) as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, FileNotFoundError, MarginSelError, ValueError) as exc:
+    except (ConfigError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            FileExistsError, MarginSelError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -150,10 +150,15 @@ class Example:
 
 def replace_file(path: Path, text: str) -> None:
     """Write text to path through a temporary file in the same directory, so
-    an interrupted write leaves the previous file whole."""
+    an interrupted write leaves the previous file whole.  When path cannot be
+    replaced (it is a directory, say) the temporary file is removed."""
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink()
+        raise
 
 
 def write_json(path: Path, obj) -> None:

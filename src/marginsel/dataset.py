@@ -45,11 +45,14 @@ class Dataset:
 
     def __post_init__(self):
         seen: set[str] = set()
+        # load_dataset stores each gold as the space's own label string, so
+        # only a gold that is not one is canonicalised
+        labels = frozenset(self.space.labels)
         for ex in self.examples:
             if ex.id in seen:
                 raise DuplicateId(ex.id)
             seen.add(ex.id)
-            if ex.gold not in self.space:
+            if ex.gold not in labels and ex.gold not in self.space:
                 raise UnknownLabel(ex.gold)
 
     def __len__(self) -> int:

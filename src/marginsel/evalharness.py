@@ -7,8 +7,9 @@ every test example, scores macro-F1, and persists per-example records so an
 interrupted run resumes without recomputing finished cells.  One
 ``Selector`` per run holds each test example's step-1 candidate set,
 neighbour ranking and draw orders, and the prediction of each distinct final
-prompt, which is asked once; it is the one place a demo set is composed.  Reports carry per-cell scores, per-(method, shot) mean/stdev over
-seeds, and a paired t-test marker against the baseline method.
+prompt, which is asked once; it is the one place a demo set is composed.
+Reports carry per-cell scores, per-(method, shot) mean/stdev over seeds, and
+a paired t-test marker against the baseline method.
 """
 
 from __future__ import annotations
@@ -52,11 +53,10 @@ from .prompting import (
     render_final_prompt,
 )
 from .selection import (
-    DemoSet,
+    KNN,
     EmptySelection,
     LookupTable,
     PrefixDraw,
-    SelectionConfig,
     assign_candidates,
     check_lookup,
     select_demos,
@@ -245,15 +245,18 @@ def _uniform_draw(population: Sequence, depth: int, seed: int) -> list:
 
 class Selector:
     """The demos of a run's test inputs, composed here and only here so that
-    ``select`` shows what ``predict`` and ``eval`` use.  It holds the run's
-    step-1 candidate sets and neighbour rankings by test id, and its draw
-    orders by (stream, test id, seed), where the stream is the tag the
-    draw's seed is derived with: "marginsel" for the hard draw, "random" for
-    the random method's uniform draw and "fallback" for the random
+    ``select`` shows what ``predict`` and ``eval`` use.  Every method gives its
+    demos as (example, source) pairs in prompt order; the source is
+    selection.HARD for a hard pick, selection.KNN for a neighbour (marginsel's
+    kNN fill, the knn method and the knn fallback) and "random" for a uniform
+    draw.  It holds the run's step-1 candidate sets and neighbour rankings by
+    test id, and its draw orders by (stream, test id, seed), where the stream is
+    the tag the draw's seed is derived with: "marginsel" for the hard draw,
+    "random" for the random method's uniform draw and "fallback" for the random
     fallback's.  Each is made once, when a cell first needs it, and only the
     calling thread selects demos.  Every draw order goes ``depth`` deep, the
-    largest shot count it serves, and every cell reads a prefix of it: a
-    hard quota round_half_up(alpha * n) is never more than n.
+    largest shot count it serves, and every cell reads a prefix of it: a hard
+    quota round_half_up(alpha * n) is never more than n.
     It also holds the parsed prediction of every final prompt it has asked,
     by prompt_key, so a record whose prompt an earlier cell asked takes that
     prediction, and each distinct prompt is sent once per selector, whether
@@ -303,7 +306,7 @@ class Selector:
 
     def _knn(self, needed_by: str, shots: int, test: Example) -> list[tuple[Example, str]]:
         ids = self._ranking(needed_by, test).take(shots)
-        return [(self.ctx.train.by_id(i), "knn") for i in ids]
+        return [(self.ctx.train.by_id(i), KNN) for i in ids]
 
     def _uniform(self, stream: str, shots: int, test: Example, seed: int
                  ) -> list[tuple[Example, str]]:
@@ -316,7 +319,8 @@ class Selector:
             lambda depth: _uniform_draw(examples, depth, derive_seed(seed, stream, test.id)))
         return [(ex, "random") for ex in picked]
 
-    def marginsel(self, alpha: float, shots: int, test: Example, seed: int) -> DemoSet:
+    def marginsel(self, alpha: float, shots: int, test: Example, seed: int
+                  ) -> list[tuple[Example, str]]:
         """MarginSel's demonstrations for one test input: select_demos over
         the lookup table with the test's step-1 candidate set (None before
         assign, or empty when assignment failed), the hard picks a prefix of
@@ -324,9 +328,9 @@ class Selector:
         1, the test's neighbour ranking.
         Raises EmptySelection at alpha = 1 when nothing matches."""
         ctx = self.ctx
-        cfg = SelectionConfig(alpha, shots, derive_seed(seed, MARGINSEL, test.id))
         neighbours = self._ranking("marginsel at alpha < 1", test) if alpha < 1.0 else None
-        return select_demos(ctx.lookup, self.step1.get(test.id), neighbours, ctx.rho, cfg,
+        return select_demos(ctx.lookup, self.step1.get(test.id), neighbours, ctx.rho, alpha,
+                            shots, derive_seed(seed, MARGINSEL, test.id),
                             self._draw(MARGINSEL, test, seed))
 
     def _demos(self, method: MethodSpec, shots: int, test: Example, seed: int
@@ -337,12 +341,11 @@ class Selector:
         if method.name == KNN_METHOD:
             return self._knn("knn method", shots, test), False
         try:
-            demo_set = self.marginsel(method.alpha, shots, test, seed)
+            return self.marginsel(method.alpha, shots, test, seed), False
         except EmptySelection:
             if self.fallback == FALLBACK_KNN:
                 return self._knn("knn fallback", shots, test), True
             return self._uniform("fallback", shots, test, seed), True
-        return [(e.example, e.source) for e in demo_set], False
 
     def _prompt(self, demos: list[tuple[Example, str]], test: Example) -> tuple[str, str]:
         """The final prompt of test with demos, byte for byte

@@ -52,19 +52,6 @@ class EmbeddingStore:
     matrix: np.ndarray
     row: dict[str, int]  # id -> row
     norms: np.ndarray
-    vectors: dict[str, np.ndarray]  # id -> row view, not a copy
-
-    def __len__(self) -> int:
-        return len(self.row)
-
-    def __contains__(self, entry_id: str) -> bool:
-        return entry_id in self.row
-
-    def get(self, entry_id: str) -> np.ndarray:
-        try:
-            return self.vectors[entry_id]
-        except KeyError:
-            raise UnknownId(entry_id) from None
 
 
 def build_store(items: Iterable[tuple[str, Sequence[float]]]) -> EmbeddingStore:
@@ -88,8 +75,7 @@ def build_store(items: Iterable[tuple[str, Sequence[float]]]) -> EmbeddingStore:
     matrix = np.frombuffer(buffer, dtype=np.float64).reshape(len(row), max(dimension, 0))
     matrix.flags.writeable = False
     norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
-    vectors = {entry_id: matrix[i] for entry_id, i in row.items()}
-    return EmbeddingStore(dimension, matrix, row, norms, vectors)
+    return EmbeddingStore(dimension, matrix, row, norms)
 
 
 def load_embeddings(path: str | Path) -> EmbeddingStore:

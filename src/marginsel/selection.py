@@ -7,7 +7,8 @@ multi-label assignment step) is matched bit-for-bit against the training
 lookup table; up to round_half_up(alpha * n) matches are kept, downsampled
 without replacement with weights 1/rho(gold) when the pool is larger; the
 remaining slots are filled by cosine kNN over the training set (never when
-alpha = 1).  Hard picks precede kNN picks in the returned set.
+alpha = 1).  ``select_demos`` returns the demos as (example, source) pairs,
+the HARD picks before the KNN picks.
 
 The draw's seed does not depend on alpha or n, so a run draws each test
 input's order once per seed (a ``PrefixDraw``) and every cell reads its hard
@@ -113,50 +114,6 @@ def check_lookup(table: LookupTable, train: Dataset) -> None:
     could pick an id the table does not hold."""
     if tuple(e.example for e in table) != train.examples:
         raise StaleLookup("the lookup table does not hold the train split's examples in order")
-
-
-@dataclass(frozen=True)
-class SelectionConfig:
-    alpha: float
-    shots: int
-    seed: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
-
-
-@dataclass(frozen=True)
-class DemoEntry:
-    example: Example
-    source: str  # HARD or KNN
-
-
-@dataclass(frozen=True)
-class DemoSet:
-    entries: tuple[DemoEntry, ...]
-
-    def __post_init__(self):
-        ids = [e.example.id for e in self.entries]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate example id in demonstration set")
-        sources = [e.source for e in self.entries]
-        if any(s not in (HARD, KNN) for s in sources):
-            raise ValueError(f"unknown demo source in {sources}")
-        first_knn = next((i for i, s in enumerate(sources) if s == KNN), len(sources))
-        if any(s == HARD for s in sources[first_knn:]):
-            raise ValueError("hard demos must precede knn demos")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def ids(self) -> list[str]:
-        return [e.example.id for e in self.entries]
 
 
 def assign_candidates(
@@ -337,45 +294,39 @@ def select_demos(
     test_candidates: CandidateSet | None,
     neighbours: Ranking | None,
     rho: LabelFrequency,
-    cfg: SelectionConfig,
-    draw: PrefixDraw | None = None,
-) -> DemoSet:
-    """Compose the demonstration set for one test input.
+    alpha: float,
+    shots: int,
+    seed: int,
+    draw: PrefixDraw,
+) -> list[tuple[Example, str]]:
+    """One test input's demonstrations as (example, source) pairs, the HARD
+    picks before the KNN picks.
 
-    Hard quota h = round_half_up(alpha * n).  When alpha < 1, kNN fills every
-    remaining slot (including any hard shortfall) with the first ids of the
-    test input's neighbour ranking over the lookup's ids that are not
-    already picked, so the set reaches n whenever the pool allows.  When
-    alpha = 1 the set is the matched pool capped at h, and an empty pool
-    raises EmptySelection for the caller's fallback policy.
+    Hard quota h = round_half_up(alpha * shots).  When alpha < 1, kNN fills
+    every remaining slot (including any hard shortfall) with the first ids
+    of the test input's neighbour ranking over the lookup's ids that are not
+    already picked, so the list reaches ``shots`` whenever the pool allows.
+    When alpha = 1 the list is the matched pool capped at h, and an empty
+    pool raises EmptySelection for the caller's fallback policy.
 
     test_candidates may be None (or empty) when the assignment step failed
-    for the test input; the matched pool is then empty.  The hard picks come
-    from ``draw``, the test input's draw order for cfg.seed, which this call
-    fills when it is not yet deep enough; without one they come from a fresh
-    order.
-    """
+    for the test input; the matched pool is then empty.  The hard picks are
+    a prefix of ``draw``, the test input's draw order for ``seed``, which
+    this call fills when it is not yet deep enough."""
     if not table:
         raise ValueError("lookup table is empty")
-    quota = round_half_up(cfg.alpha * cfg.shots)
+    quota = round_half_up(alpha * shots)
     if test_candidates is None or test_candidates.is_empty:
         matched = EMPTY_POOL
     else:
         matched = match_hard(table, test_candidates)
-    if draw is None:
-        draw = PrefixDraw()
-    hard = hard_picks(draw, matched, quota, rho, cfg.seed) if quota else []
-
-    if cfg.alpha == 1.0:
+    hard = hard_picks(draw, matched, quota, rho, seed) if quota else []
+    demos = [(e.example, HARD) for e in hard]
+    if alpha == 1.0:
         if not matched:
             raise EmptySelection("no training example shares the test candidate set")
-        entries = [DemoEntry(e.example, HARD) for e in hard]
-        return DemoSet(tuple(entries))
-
+        return demos
     if neighbours is None:
         raise ValueError("alpha < 1 requires the test input's neighbour ranking")
-    hard_ids = {e.example.id for e in hard}
-    neighbor_ids = neighbours.take(cfg.shots - len(hard), hard_ids)
-    entries = [DemoEntry(e.example, HARD) for e in hard]
-    entries += [DemoEntry(table.examples[nid], KNN) for nid in neighbor_ids]
-    return DemoSet(tuple(entries))
+    taken = neighbours.take(shots - len(hard), {ex.id for ex, _ in demos})
+    return demos + [(table.examples[i], KNN) for i in taken]

@@ -32,7 +32,7 @@ from marginsel.selection import (
     LookupEntry,
     LookupTable,
     Pool,
-    SelectionConfig,
+    PrefixDraw,
     select_demos,
     weighted_sample,
 )
@@ -166,12 +166,18 @@ def test_criterion_1_selection_oracle_equivalence():
         try:
             demos = select_demos(
                 lookup, test_set, rank(store, "q", [e.example.id for e in lookup]), rho,
-                SelectionConfig(alpha, shots, seed)
+                alpha, shots, seed, PrefixDraw()
             )
         except EmptySelection:
             assert alpha == 1.0 and not matched_rows
             continue
-        hard_ids = [e.example.id for e in demos if e.source == "hard"]
+        ids = [ex.id for ex, _ in demos]
+        sources = [src for _, src in demos]
+        assert len(set(ids)) == len(ids)
+        # every hard pick precedes every knn pick, and no other source appears
+        assert sources == ["hard"] * sources.count("hard") + ["knn"] * sources.count("knn")
+        assert alpha < 1.0 or "knn" not in sources
+        hard_ids = [ex.id for ex, src in demos if src == "hard"]
         # exact match on the matched pool
         from marginsel.selection import match_hard
 
@@ -231,20 +237,20 @@ def test_criterion_2_alpha_endpoints():
         test_set = candidate_set_from_key(test_key, space)
         ids = [e.example.id for e in lookup]
         demos = select_demos(
-            lookup, test_set, rank(store, "q", ids), rho, SelectionConfig(0.0, shots, seed=trial)
+            lookup, test_set, rank(store, "q", ids), rho, 0.0, shots, trial, PrefixDraw()
         )
         expected = knn_retrieve(store, "q", shots, ids)
-        assert demos.ids() == expected
+        assert [ex.id for ex, _ in demos] == expected
 
         matched_ids = {
             e.example.id for e in lookup if candidate_key(e.candidates) == test_key
         }
         try:
             hard_only = select_demos(
-                lookup, test_set, None, rho, SelectionConfig(1.0, shots, seed=trial)
+                lookup, test_set, None, rho, 1.0, shots, trial, PrefixDraw()
             )
-            assert set(hard_only.ids()) <= matched_ids
-            assert all(e.source == "hard" for e in hard_only)
+            assert {ex.id for ex, _ in hard_only} <= matched_ids
+            assert all(src == "hard" for _, src in hard_only)
         except EmptySelection:
             assert not matched_ids
 
@@ -262,9 +268,12 @@ def test_criterion_2_alpha_endpoints():
             candidate_set_from_key(test_key, space),
             rank(store, "q", [e.example.id for e in lookup]),
             rho,
-            SelectionConfig(0.9, 10, seed=composed),
+            0.9,
+            10,
+            composed,
+            PrefixDraw(),
         )
-        sources = [e.source for e in demos]
+        sources = [src for _, src in demos]
         assert sources.count("hard") == 9
         assert sources.count("knn") == 1
         composed += 1

@@ -184,7 +184,7 @@ def test_projection_dump_round_trips(tmp_path):
     dump_projection_input(vectors, golds, path)
     assert len(path.read_text().strip().splitlines()) == 3
     store = load_embeddings(path)
-    assert list(store.get("a")) == [1.0, 2.0]
+    assert list(store.matrix[store.row["a"]]) == [1.0, 2.0]
     record = json.loads(path.read_text().splitlines()[0])
     assert set(record) == {"id", "label", "vector"}
 

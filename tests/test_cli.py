@@ -363,6 +363,33 @@ def test_missing_config_inputs_exit_2(tmp_path, capsys):
     assert main(["--config", str(ws), "select", "--test-text", "x"]) == 2
 
 
+def test_config_paths_of_the_wrong_file_kind_exit_2(tmp_path, capsys):
+    # A directory where a file is read or replaced, or a file where a
+    # directory is made or listed, raised IsADirectoryError, FileExistsError
+    # or NotADirectoryError past main, and a theory report aimed at a
+    # directory left its temporary file behind.
+    config_path = make_workspace(tmp_path)
+    assert main(["--config", str(config_path), "assign"]) == 0
+    a_dir, a_file = tmp_path / "a_dir", tmp_path / "a_file"
+    a_dir.mkdir()
+    a_file.write_text("x")
+    for key, path, command in (
+        ("dataset.train_path", a_dir, "assign"), ("embeddings.path", a_dir, "eval"),
+        ("lookup.path", a_dir, "select --test-id e01"), ("lookup.path", a_dir, "assign"),
+        ("eval.out_dir", a_file, "eval"), ("backend.cache_dir", a_file, "assign"),
+        ("analyze.out_dir", a_file, "analyze"), ("templates.dir", a_file, "assign"),
+        ("theory.out_path", a_dir, "theory-check"),
+    ):
+        capsys.readouterr()
+        argv = ["--config", str(config_path), "--set", f"{key}={json.dumps(str(path))}",
+                *command.split()]
+        assert main(argv) == 2, (key, command)
+        assert "config error" in capsys.readouterr().err, (key, command)
+    assert main(["--config", str(a_dir), "assign"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_unreachable_backend_exits_3(tmp_path, capsys):
     config_path = make_workspace(tmp_path)
     code = main(
@@ -631,7 +658,7 @@ def test_config_values_of_the_wrong_json_type_exit_2(tmp_path, capsys):
     cached = (tmp_path / "cache" / "responses.jsonl").read_bytes()
     for override, command in (
         ("eval.out_dir=5", "eval"), ("eval.out_dir=null", "eval"), ("eval.baseline=5", "eval"),
-        ("embeddings.path=5", "eval"), ("sweep.alphas=0.5", "sweep"),
+        ("embeddings.path=5", "eval"), ("sweep.alphas=0.5", "sweep"), ("eval.methods=true", "eval"),
         ("lookup.path=5", "select --test-id e01"), ("lookup.path=null", "select --test-id e01"),
         ("dataset.path=5", "assign"), ("backend.cache_dir=5", "assign"),
         ("labels=[1, 2]", "assign"), ('labels="red"', "assign"),

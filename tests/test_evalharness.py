@@ -253,7 +253,7 @@ def test_marginsel_fallback_to_knn():
 
     odd = Example(id="te-odd", text="alphasig betasig rubyword n0", gold="red")
     ctx.store = build_store(
-        [(i, list(v)) for i, v in ctx.store.vectors.items()]
+        [(i, list(v)) for i, v in zip(ctx.store.row, ctx.store.matrix)]
         + [("te-odd", [0.1, 0.2, 0.3])]
     )
     predicted, record = predict_one(
@@ -279,7 +279,7 @@ def test_rankings_follow_a_replaced_store_or_train_split():
     _, before = predict_one(ctx, MethodSpec("knn"), 4, test, seed=0)
     assert before["demo_ids"] == knn_retrieve(ctx.store, test.id, 4, train_ids)
     ctx.store = build_store([(i, [-x for x in v] if i == test.id else list(v))
-                             for i, v in ctx.store.vectors.items()])
+                             for i, v in zip(ctx.store.row, ctx.store.matrix)])
     _, after = predict_one(ctx, MethodSpec("knn"), 4, test, seed=0)
     assert ctx.train_index().store is ctx.store
     assert after["demo_ids"] == knn_retrieve(ctx.store, test.id, 4, train_ids)

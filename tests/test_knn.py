@@ -34,8 +34,7 @@ def test_load_embeddings(tmp_path):
     )
     store = load_embeddings(path)
     assert store.dimension == 3
-    assert len(store) == 2
-    assert "a" in store and "c" not in store
+    assert store.row == {"a": 0, "b": 1}
 
 
 def test_load_embeddings_dimension_mismatch(tmp_path):
@@ -155,8 +154,7 @@ def test_knn_duplicate_vectors_tie_exactly_in_a_large_store(n):
 
 def test_store_rows_are_views_of_one_matrix():
     store = build_store([("a", [1.0, 2.0]), ("b", [3.0, 4.0])])
-    assert store.vectors["b"].base is not None
-    assert list(store.get("b")) == [3.0, 4.0]
+    assert list(store.matrix[store.row["b"]]) == [3.0, 4.0]
     assert store.matrix.shape == (2, 2) and not store.matrix.flags.writeable
     assert list(store.norms) == [math.sqrt(5.0), 5.0]
 
@@ -189,13 +187,13 @@ def test_knn_unknown_id():
 
 def _brute_force(store, query_id, k, candidate_ids, exclude_ids=()):
     # Independent oracle: plain-python cosine plus a full sort.
-    query = store.vectors[query_id]
+    query = store.matrix[store.row[query_id]]
     excluded = set(exclude_ids) | {query_id}
     rows = []
     for cid in candidate_ids:
         if cid in excluded:
             continue
-        vec = store.vectors[cid]
+        vec = store.matrix[store.row[cid]]
         dot = sum(float(x) * float(y) for x, y in zip(vec, query))
         norm = math.sqrt(sum(float(x) ** 2 for x in vec)) * math.sqrt(
             sum(float(y) ** 2 for y in query)

@@ -15,14 +15,12 @@ from marginsel import selection as selection_module
 from marginsel.knn import ZeroNorm, build_store, knn_retrieve, rank
 from marginsel.llm_client import CachedBackend, MockBackend, MockRule, mock_multilabel
 from marginsel.selection import (
-    DemoSet,
     EmptySelection,
     LookupEntry,
     LookupTable,
     Pool,
     MissingFrequency,
     PrefixDraw,
-    SelectionConfig,
     build_lookup,
     hard_picks,
     load_lookup,
@@ -345,6 +343,10 @@ def _store_for(lookup, query_vec=(1.0, 0.0)):
     return build_store(items)
 
 
+def _ids(demos):
+    return [ex.id for ex, _ in demos]
+
+
 def _ranking(store, lookup, query="test"):
     """The query's neighbour ranking over the lookup's ids."""
     return rank(store, query, [e.example.id for e in lookup])
@@ -370,32 +372,32 @@ def test_alpha_zero_is_pure_knn():
     store = _store_for(lookup)
     test_set = candidate_set_from_key("110", RGB)
     demos = select_demos(
-        lookup, test_set, _ranking(store, lookup), rho, SelectionConfig(0.0, 4, seed=3)
+        lookup, test_set, _ranking(store, lookup), rho, 0.0, 4, 3, PrefixDraw()
     )
     knn_ids = knn_retrieve(store, "test", 4, [e.example.id for e in lookup])
-    assert demos.ids() == knn_ids
-    assert all(e.source == "knn" for e in demos)
+    assert _ids(demos) == knn_ids
+    assert all(src == "knn" for _, src in demos)
 
 
 def test_alpha_one_hard_only_and_pool_exhaustion():
     lookup, rho = _lookup_fixture()
     test_set = candidate_set_from_key("011", RGB)  # matches ids 3 and 6
-    demos = select_demos(lookup, test_set, None, rho, SelectionConfig(1.0, 4, seed=0))
-    assert sorted(demos.ids()) == ["3", "6"]
-    assert all(e.source == "hard" for e in demos)
+    demos = select_demos(lookup, test_set, None, rho, 1.0, 4, 0, PrefixDraw())
+    assert sorted(_ids(demos)) == ["3", "6"]
+    assert all(src == "hard" for _, src in demos)
 
 
 def test_alpha_one_empty_match_raises():
     lookup, rho = _lookup_fixture()
     test_set = candidate_set_from_key("101", RGB)
     with pytest.raises(EmptySelection):
-        select_demos(lookup, test_set, None, rho, SelectionConfig(1.0, 4, seed=0))
+        select_demos(lookup, test_set, None, rho, 1.0, 4, 0, PrefixDraw())
 
 
 def test_alpha_one_empty_step1_raises():
     lookup, rho = _lookup_fixture()
     with pytest.raises(EmptySelection):
-        select_demos(lookup, None, None, rho, SelectionConfig(1.0, 4, seed=0))
+        select_demos(lookup, None, None, rho, 1.0, 4, 0, PrefixDraw())
 
 
 def test_mixed_alpha_quota_and_ordering():
@@ -403,12 +405,12 @@ def test_mixed_alpha_quota_and_ordering():
     store = _store_for(lookup)
     test_set = candidate_set_from_key("110", RGB)  # matches 1, 2, 4
     demos = select_demos(
-        lookup, test_set, _ranking(store, lookup), rho, SelectionConfig(0.5, 4, seed=7)
+        lookup, test_set, _ranking(store, lookup), rho, 0.5, 4, 7, PrefixDraw()
     )
-    sources = [e.source for e in demos]
+    sources = [src for _, src in demos]
     assert sources == ["hard", "hard", "knn", "knn"]
-    assert len(set(demos.ids())) == 4
-    hard_ids = {e.example.id for e in demos if e.source == "hard"}
+    assert len(set(_ids(demos))) == 4
+    hard_ids = {ex.id for ex, src in demos if src == "hard"}
     assert hard_ids <= {"1", "2", "4"}
 
 
@@ -417,20 +419,20 @@ def test_knn_backfills_hard_shortfall():
     store = _store_for(lookup)
     test_set = candidate_set_from_key("010", RGB)  # only id 5 matches
     demos = select_demos(
-        lookup, test_set, _ranking(store, lookup), rho, SelectionConfig(0.9, 4, seed=1)
+        lookup, test_set, _ranking(store, lookup), rho, 0.9, 4, 1, PrefixDraw()
     )
     assert len(demos) == 4  # 1 hard + 3 backfilled
-    assert [e.source for e in demos][:1] == ["hard"]
-    assert demos.entries[0].example.id == "5"
+    assert [src for _, src in demos][:1] == ["hard"]
+    assert demos[0][0].id == "5"
 
 
 def test_empty_step1_with_mixed_alpha_degrades_to_knn():
     lookup, rho = _lookup_fixture()
     store = _store_for(lookup)
     demos = select_demos(
-        lookup, None, _ranking(store, lookup), rho, SelectionConfig(0.5, 4, seed=1)
+        lookup, None, _ranking(store, lookup), rho, 0.5, 4, 1, PrefixDraw()
     )
-    assert all(e.source == "knn" for e in demos)
+    assert all(src == "knn" for _, src in demos)
     assert len(demos) == 4
 
 
@@ -445,11 +447,10 @@ def test_zero_norm_hard_pick_is_never_scored():
     )
     ids = [e.example.id for e in lookup]
     test_set = candidate_set_from_key("011", RGB)  # matches ids 3 and 6
-    cfg = SelectionConfig(0.5, 4, seed=0)
     ranking = rank(store, "test", ids)
-    demos = select_demos(lookup, test_set, ranking, rho, cfg)
-    assert demos.ids() == ["3", "6"] + knn_retrieve(store, "test", 2, ids, {"3", "6"})
-    assert [e.source for e in demos] == ["hard", "hard", "knn", "knn"]
+    demos = select_demos(lookup, test_set, ranking, rho, 0.5, 4, 0, PrefixDraw())
+    assert _ids(demos) == ["3", "6"] + knn_retrieve(store, "test", 2, ids, {"3", "6"})
+    assert [src for _, src in demos] == ["hard", "hard", "knn", "knn"]
     with pytest.raises(ZeroNorm):
         ranking.take(2)
 
@@ -458,30 +459,9 @@ def test_select_demos_deterministic():
     lookup, rho = _lookup_fixture()
     store = _store_for(lookup)
     test_set = candidate_set_from_key("110", RGB)
-    cfg = SelectionConfig(0.5, 4, seed=11)
-    a = select_demos(lookup, test_set, _ranking(store, lookup), rho, cfg)
-    b = select_demos(lookup, test_set, _ranking(store, lookup), rho, cfg)
-    assert a.ids() == b.ids()
-    assert [e.source for e in a] == [e.source for e in b]
-
-
-def test_demoset_invariants():
-    ex = lambda i: Example(id=i, text="t", gold="red")
-    from marginsel.selection import DemoEntry
-
-    with pytest.raises(ValueError):
-        DemoSet((DemoEntry(ex("1"), "hard"), DemoEntry(ex("1"), "knn")))
-    with pytest.raises(ValueError):
-        DemoSet((DemoEntry(ex("1"), "knn"), DemoEntry(ex("2"), "hard")))
-    with pytest.raises(ValueError):
-        DemoSet((DemoEntry(ex("1"), "weird"),))
-
-
-def test_selection_config_validation():
-    with pytest.raises(ValueError):
-        SelectionConfig(alpha=1.5, shots=4, seed=0)
-    with pytest.raises(ValueError):
-        SelectionConfig(alpha=0.5, shots=0, seed=0)
+    a = select_demos(lookup, test_set, _ranking(store, lookup), rho, 0.5, 4, 11, PrefixDraw())
+    b = select_demos(lookup, test_set, _ranking(store, lookup), rho, 0.5, 4, 11, PrefixDraw())
+    assert a == b
 
 
 def test_alpha_boundary_equivalence_property():
@@ -509,7 +489,7 @@ def test_alpha_boundary_equivalence_property():
         test_set = candidate_set_from_labels([rng.choice(RGB.labels)], RGB)
         demos = select_demos(
             LookupTable(lookup), test_set, _ranking(store, lookup, "q"), rho,
-            SelectionConfig(0.0, shots, seed=trial)
+            0.0, shots, trial, PrefixDraw()
         )
         expected = knn_retrieve(store, "q", shots, [e.example.id for e in lookup])
-        assert demos.ids() == expected
+        assert _ids(demos) == expected
