@@ -322,12 +322,23 @@ def _lookup(config: dict, space: LabelSpace):
     return load_lookup(path, space)
 
 
+def _output_file(path) -> Path:
+    """An output file's path, checked before the work that fills it: its
+    directory is made, and a directory at the path itself is refused."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if path.is_dir():
+        raise ConfigError(f"output path {path} is a directory")
+    return path
+
+
 # --------------------------------------------------------------------------
 # Subcommands
 # --------------------------------------------------------------------------
 
 
 def cmd_assign(config: dict, args) -> int:
+    lookup_path = _output_file(config["lookup"]["path"])
     space = _space(config)
     candidate_template, _ = _templates(config)
     backend = _backend(config, space)
@@ -336,9 +347,9 @@ def cmd_assign(config: dict, args) -> int:
         entries = build_lookup(
             train, backend, candidate_template, config["backend"]["max_in_flight"]
         )
-    save_lookup(entries, config["lookup"]["path"], space)
+    save_lookup(entries, lookup_path, space)
     hist = analysis.candidate_histogram(entries)
-    print(f"lookup table: {len(entries)} entries -> {config['lookup']['path']}")
+    print(f"lookup table: {len(entries)} entries -> {lookup_path}")
     print(
         "candidate-count histogram: "
         + ", ".join(f"{k}: {v:.3f}" for k, v in hist.items())
@@ -574,9 +585,8 @@ def cmd_theory_check(config: dict, args) -> int:
     from . import theory  # scipy.optimize loads for this command only
 
     checks = dict(config["theory"])
-    out_path = Path(checks.pop("out_path"))
+    out_path = _output_file(checks.pop("out_path"))
     report = theory.run_theory_checks(**checks)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     write_json(out_path, report)
     print(f"decomposition max error: {report['decomposition']['max_abs_error']:.3e}")
     print(f"affine update max error: {report['affine_update']['max_abs_error']:.3e}")

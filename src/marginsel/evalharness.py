@@ -287,9 +287,12 @@ class Selector:
             ctx.backend, ctx.candidate_template, [ex.text for ex in missing], ctx.space, pool)))
 
     def _draw(self, stream: str, test: Example, seed: int) -> PrefixDraw:
+        """The (stream, test, seed) draw order, made with its seed derived
+        from (seed, stream, test id) when first asked for."""
         draw = self.draws.get((stream, test.id, seed))
         if draw is None:
-            draw = self.draws[stream, test.id, seed] = PrefixDraw(self.depth)
+            draw = self.draws[stream, test.id, seed] = PrefixDraw(
+                self.depth, derive_seed(seed, stream, test.id))
         return draw
 
     def _ranking(self, needed_by: str, test: Example) -> Ranking:
@@ -314,9 +317,9 @@ class Selector:
         draw, seeded from (seed, stream, test id); the whole train split
         when it holds no more than shots."""
         examples = self.ctx.train.examples
-        picked = self._draw(stream, test, seed).take(
-            shots, len(examples),
-            lambda depth: _uniform_draw(examples, depth, derive_seed(seed, stream, test.id)))
+        draw = self._draw(stream, test, seed)
+        picked = draw.take(shots, len(examples),
+                           lambda depth: _uniform_draw(examples, depth, draw.seed))
         return [(ex, "random") for ex in picked]
 
     def marginsel(self, alpha: float, shots: int, test: Example, seed: int
@@ -329,9 +332,9 @@ class Selector:
         Raises EmptySelection at alpha = 1 when nothing matches."""
         ctx = self.ctx
         neighbours = self._ranking("marginsel at alpha < 1", test) if alpha < 1.0 else None
+        draw = self._draw(MARGINSEL, test, seed)
         return select_demos(ctx.lookup, self.step1.get(test.id), neighbours, ctx.rho, alpha,
-                            shots, derive_seed(seed, MARGINSEL, test.id),
-                            self._draw(MARGINSEL, test, seed))
+                            shots, draw.seed, draw)
 
     def _demos(self, method: MethodSpec, shots: int, test: Example, seed: int
                ) -> tuple[list[tuple[Example, str]], bool]:
@@ -480,10 +483,12 @@ def run_experiment(ctx: ExperimentContext, cfg: RunConfig) -> RunReport:
         )
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
+    kept = 0  # bytes of records.jsonl that this run did not append
     if records_path and records_path.exists():
         # cut a torn last line, so that the next append starts a line of its own
         with open(records_path, "rb+") as fh:
-            fh.truncate(fh.read().rfind(b"\n") + 1)
+            kept = fh.read().rfind(b"\n") + 1
+            fh.truncate(kept)
 
     # each record's records.jsonl line, encoded once (never without a run directory)
     encode = _line if records_path else lambda record: ""
@@ -518,8 +523,13 @@ def run_experiment(ctx: ExperimentContext, cfg: RunConfig) -> RunReport:
     summary = _summarize(cells, cfg)
     report = RunReport(cells=cells, summary=summary, records=[r for r, _ in all_records])
     if out_dir:
+        order = [_cell_key(r) for r, _ in all_records]
+        # With nothing kept, records.jsonl holds this run's appends in run
+        # order, which are its final bytes when that order is sorted.
+        in_place = not kept and bool(order) and order == sorted(order)
         all_records.sort(key=lambda pair: _cell_key(pair[0]))
-        _persist(report, out_dir, "".join(line for _, line in all_records))
+        _persist(report, out_dir,
+                  None if in_place else "".join(line for _, line in all_records))
     return report
 
 
@@ -577,10 +587,12 @@ def _line(record: dict) -> str:
     return _RECORD_ENCODER.encode(record) + "\n"
 
 
-def _persist(report: RunReport, out_dir: Path, records_text: str) -> None:
+def _persist(report: RunReport, out_dir: Path, records_text: str | None) -> None:
     """The run's artifacts: records_text, its records' lines sorted by cell,
-    as ``records.jsonl``, and the reports."""
-    replace_file(out_dir / "records.jsonl", records_text)
+    as ``records.jsonl`` (None when the file already holds them), and the
+    reports."""
+    if records_text is not None:
+        replace_file(out_dir / "records.jsonl", records_text)
     write_json(out_dir / "report.json", {"cells": report.cells, "summary": report.summary})
     rows = [["method", "alpha", "shot", "seed", "macro_f1"]]
     for cell in report.cells:

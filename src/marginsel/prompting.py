@@ -13,6 +13,7 @@ supplies template files with the same slot convention.
 
 from __future__ import annotations
 
+import functools
 import logging
 import re
 from dataclasses import dataclass
@@ -65,11 +66,16 @@ class PromptTemplate:
             raise ValueError(f"unknown template kind {self.kind!r}")
 
 
-def _fill(template: str, text: str, space: LabelSpace) -> str:
+@functools.lru_cache(maxsize=64)
+def _with_labels(template: str, labels: tuple[str, ...]) -> str:
+    """template with its {labels} slot filled, once per (template, labels)."""
     if "{text}" not in template:
         raise MissingSlot("{text}")
-    filled = template.replace("{labels}", "\n".join(f"- {l}" for l in space.labels))
-    return filled.replace("{text}", text)
+    return template.replace("{labels}", "\n".join(f"- {l}" for l in labels))
+
+
+def _fill(template: str, text: str, space: LabelSpace) -> str:
+    return _with_labels(template, space.labels).replace("{text}", text)
 
 
 def render_candidate_prompt(

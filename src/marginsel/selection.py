@@ -10,6 +10,11 @@ remaining slots are filled by cosine kNN over the training set (never when
 alpha = 1).  ``select_demos`` returns the demos as (example, source) pairs,
 the HARD picks before the KNN picks.
 
+The weighted draw sums each pool's weights once per rho and finds each pick
+by bisecting those prefix sums, certified against the documented sequential
+protocol by a float error bound; a draw with a pick it cannot certify is
+replayed by the protocol itself, so every pick is the protocol's.
+
 The draw's seed does not depend on alpha or n, so a run draws each test
 input's order once per seed (a ``PrefixDraw``) and every cell reads its hard
 picks as a prefix of that order: the first k picks of a deeper draw are the
@@ -19,6 +24,8 @@ way.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import logging
 import random
@@ -76,13 +83,16 @@ class LookupEntry:
 
 class Pool(tuple):
     """Lookup entries in lookup order; ``labels[codes[i]]`` is row i's gold
-    label."""
+    label.  ``sums`` maps label weights, in ``labels`` order, to the rows'
+    weights and their sequential prefix sums, filled by the first draw under
+    them."""
 
     def __new__(cls, entries: Sequence[LookupEntry] = ()):
         pool = super().__new__(cls, entries)
         pool.labels = tuple(dict.fromkeys(e.example.gold for e in pool))
         code = {label: i for i, label in enumerate(pool.labels)}
         pool.codes = np.array([code[e.example.gold] for e in pool], dtype=np.intp)
+        pool.sums = {}
         return pool
 
 
@@ -214,41 +224,115 @@ def weighted_sample(
     sequential draws with random.Random(seed): each draw picks index i with
     probability w_i / sum(remaining w), where w_i = 1/rho(gold_i), then
     removes it.  Concretely each draw computes r = rng.random() * total and
-    takes the first index whose cumulative weight (a sequential float64 sum)
-    exceeds r, else the last; this exact protocol is part of the contract
-    so that an independent replay reproduces the draws bit-for-bit.  The
-    cumulative weights carry over from draw to draw: after a pick only those
-    from the pick onwards are summed again, starting from the unchanged sum
-    before it, which equals a fresh sum over the remaining weights.
+    takes the first index whose cumulative weight (a sequential float64 sum
+    over the remaining entries) exceeds r, else the last remaining one; this
+    exact protocol is part of the contract so that an independent replay
+    reproduces the draws bit-for-bit.
+
+    The picks are found by ``_certified_picks``, a search over the pool's
+    prefix sums that proves each pick equal to the protocol's; when it
+    cannot, the draw is ``_replay``, the protocol step for step.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     try:
-        label_weights = np.array([rho.weight(label) for label in pool.labels])
+        label_weights = tuple(rho.weight(label) for label in pool.labels)
     except KeyError as exc:
         raise MissingFrequency(exc.args[0]) from None
     if len(pool) <= k:
         return list(pool)
-    # A picked weight is zeroed in place: adding 0.0 leaves every cumulative
-    # sum bit-identical to the sum over the remaining entries, and
-    # searchsorted(side="right") never lands on a zeroed slot.  The re-sum
-    # seeds the pick's slot with the sum before it; accumulate adds in
-    # sequence, so the sums equal a fresh cumsum bit for bit.
-    weights = label_weights[pool.codes]
-    cumulative = weights.cumsum()
-    rng = random.Random(seed)
-    picked: list[LookupEntry] = []
-    for n in range(1, k + 1):
+    # The prefix sums are kept per pool under the label weights they were
+    # summed from, so a draw under another rho never reads them.
+    summed = pool.sums.get(label_weights)
+    if summed is None:
+        weights = np.array(label_weights)[pool.codes]
+        summed = pool.sums[label_weights] = (weights, weights.cumsum().tolist())
+    weights, sums = summed
+    picks = _certified_picks(weights, sums, k, random.Random(seed))
+    if picks is None:
+        picks = _replay(weights, k, random.Random(seed))
+    return [pool[i] for i in picks]
+
+
+def _certified_picks(
+    weights: np.ndarray, sums: list[float], k: int, rng: random.Random
+) -> list[int] | None:
+    """The protocol's k picks, found without summing the pool again, or None
+    when a pick cannot be proven to be the protocol's.
+
+    ``sums`` are the sequential prefix sums S of the rows' ``weights``, and
+    T = S[-1] their total.  With R_i the
+    summed weights of the rows picked so far at or before i (summed in the
+    order of their indices) and R their sum, the protocol's prefix sum over
+    the remaining rows at row i is estimated by E_i = S_i - R_i and its total
+    by T - R, and r by rng.random() * (T - R).  The first remaining i with
+    E_i > r is found by bisecting S for r + R_i, repeated until the picks at
+    or before i no longer change.
+
+    Bound.  With u = 2**-53 and W the exact total, recursive summation of n
+    positive terms errs by at most gamma_n * W, gamma_n = n*u / (1 - n*u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 4.2).  That bounds the error of S_i, of the protocol's own sum
+    over the remaining rows and of R_i (k < n terms) by gamma_n * W each,
+    and the subtraction S_i - R_i adds at most 2u * W.  So E_i and the
+    protocol's prefix sum at i differ by at most (3 gamma_n + 2u) * W, as do
+    T - R and the protocol's total; r and the protocol's r, the same
+    rng.random() <= 1 times each total, rounded once, by at most
+    (3 gamma_n + 5u) * W.  E_i - r and the protocol's difference therefore
+    differ by about (6n + 8) * u * W at most, the last subtraction's
+    rounding included, which for every n >= 2 stays below the margin
+    M = 16 * n * u * T (T >= (1 - gamma_n) * W).  A pick is certified when
+    E_i - r > M, r - E_(i-1) > M (if i > 0) and r + M < T - R: the
+    protocol's prefix sums then exceed r at i and at no row before it (its
+    sum at i - 1 is its sum at the previous remaining row, since a picked
+    row adds 0.0), so its pick is i too.
+    """
+    n = len(sums)
+    total = sums[-1]
+    margin = 16 * n * 2.0 ** -53 * total
+    picks: list[int] = []
+    rows: list[int] = []  # the picks in index order
+    picked: list[float] = []  # their weights, in the same order
+    before = [0.0]  # before[j]: the summed weights of rows[:j]
+    for _ in range(k):
+        left = total - before[-1]
+        r = rng.random() * left
+        j = 0
+        while True:
+            i = bisect.bisect_right(sums, r + before[j])
+            at_or_before = bisect.bisect_right(rows, i)
+            if at_or_before == j:
+                break
+            j = at_or_before
+        if i == n or (j and rows[j - 1] == i):  # only rounding lands on a picked row
+            return None
+        # i is not picked, so R_(i-1) = R_i
+        if not (sums[i] - before[j] - r > margin and r + margin < left
+                and (i == 0 or r - (sums[i - 1] - before[j]) > margin)):
+            return None
+        picks.append(i)
+        rows.insert(j, i)
+        picked.insert(j, float(weights[i]))
+        before = [0.0, *itertools.accumulate(picked)]
+    return picks
+
+
+def _replay(weights: np.ndarray, k: int, rng: random.Random) -> list[int]:
+    """The protocol's k picks, step for step: picked weights are set to 0.0
+    and every pick sums them afresh.  Adding 0.0 is exact, so each sum is
+    the sequential sum over the remaining rows, and a pick never lands on a
+    zeroed row."""
+    weights = weights.copy()
+    picks = []
+    for _ in range(k):
+        cumulative = weights.cumsum()
         r = rng.random() * cumulative[-1]
         chosen = int(cumulative.searchsorted(r, side="right"))
-        if chosen == len(pool):  # r reached the total: the last remaining entry
+        if chosen == len(weights):  # r reached the total: the last remaining row
             chosen = int(weights.nonzero()[0][-1])
-        picked.append(pool[chosen])
-        if n < k:
-            weights[chosen] = cumulative[chosen - 1] if chosen else 0.0
-            np.add.accumulate(weights[chosen:], out=cumulative[chosen:])
-            weights[chosen] = 0.0
-    return picked
+        picks.append(chosen)
+        weights[chosen] = 0.0
+    return picks
 
 
 class PrefixDraw:
@@ -256,12 +340,14 @@ class PrefixDraw:
     a deeper draw must be the picks of a k-draw.  It is drawn at least
     ``depth`` deep, so that a run's deepest read draws it only once, and it
     keeps the picks only.  A draw that raises keeps nothing, so every later
-    take raises too."""
+    take raises too.  ``seed`` is the seed its owner derived for the order,
+    once, when it made it."""
 
-    __slots__ = ("depth", "picks")
+    __slots__ = ("depth", "seed", "picks")
 
-    def __init__(self, depth: int = 0):
+    def __init__(self, depth: int = 0, seed: int = 0):
         self.depth = depth
+        self.seed = seed
         self.picks: list | None = None
 
     def take(self, k: int, size: int, draw: Callable[[int], list]) -> list:

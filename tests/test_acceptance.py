@@ -64,7 +64,8 @@ def oracle_filter(rows, test_key):
 def oracle_draw(rows, rho_map, k, seed):
     """From-scratch replay of the documented sequential weighted draw:
     random.Random(seed), r = rng.random() * total, first index whose
-    cumulative weight exceeds r, remove, repeat."""
+    cumulative weight exceeds r, remove, repeat.  The total is summed in
+    sequence too: from CPython 3.12 ``sum()`` of floats is compensated."""
     if len(rows) <= k:
         return [row[0] for row in rows]
     pool = list(rows)
@@ -72,7 +73,9 @@ def oracle_draw(rows, rho_map, k, seed):
     rng = random.Random(seed)
     picked = []
     for _ in range(k):
-        total = sum(weights)
+        total = 0.0
+        for w in weights:
+            total += w
         r = rng.random() * total
         acc = 0.0
         chosen = len(pool) - 1

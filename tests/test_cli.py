@@ -390,6 +390,33 @@ def test_config_paths_of_the_wrong_file_kind_exit_2(tmp_path, capsys):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+def test_an_output_path_that_is_a_directory_is_refused_before_the_work(
+        tmp_path, capsys, monkeypatch):
+    # assign and theory-check check where their output goes before they ask
+    # the model or solve anything.
+    from marginsel import llm_client, theory
+
+    calls = []
+    complete = llm_client.MockBackend.complete
+    monkeypatch.setattr(llm_client.MockBackend, "complete",
+                        lambda self, *args: calls.append(args) or complete(self, *args))
+
+    def no_solve(**checks):
+        raise AssertionError("solved before the output path was checked")
+
+    monkeypatch.setattr(theory, "run_theory_checks", no_solve)
+    config_path = make_workspace(tmp_path)
+    a_dir, cache = tmp_path / "a_dir", tmp_path / "fresh_cache"
+    a_dir.mkdir()
+    for key, command in (("lookup.path", "assign"), ("theory.out_path", "theory-check")):
+        argv = ["--config", str(config_path), "--set", f"{key}={json.dumps(str(a_dir))}",
+                "--set", f"backend.cache_dir={json.dumps(str(cache))}", command]
+        assert main(argv) == 2, command
+        assert "is a directory" in capsys.readouterr().err
+    assert calls == []
+    assert not [p for p in cache.rglob("*") if p.is_file() and p.stat().st_size]
+
+
 def test_unreachable_backend_exits_3(tmp_path, capsys):
     config_path = make_workspace(tmp_path)
     code = main(

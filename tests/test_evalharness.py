@@ -927,6 +927,66 @@ def test_cell_error_annotation(tmp_path):
     assert (tmp_path / "run" / "report.json").exists()
 
 
+def test_records_appended_in_sorted_order_are_not_rewritten(tmp_path, monkeypatch):
+    # A fresh grid whose run order is its sorted order appends records.jsonl's
+    # final bytes, so the file is kept, not replaced.  A grid in another order
+    # ends with the same sorted bytes, and a run whose every cell failed
+    # still writes the file.
+    from marginsel import evalharness
+
+    replaced = []
+    real = evalharness.replace_file
+    monkeypatch.setattr(evalharness, "replace_file",
+                        lambda path, text: replaced.append(path) or real(path, text))
+    in_order = RunConfig(
+        methods=[MethodSpec("knn"), MethodSpec("marginsel", alpha=0.5), MethodSpec("random")],
+        shots=[2, 3], seeds=[1, 2], fallback="knn", out_dir=tmp_path / "sorted")
+    records = tmp_path / "sorted" / "records.jsonl"
+    records.parent.mkdir()
+    records.touch()
+    inode = records.stat().st_ino
+    report = run_experiment(planted_pipeline(), in_order)
+    assert records not in replaced and records.stat().st_ino == inode
+    data = records.read_bytes()
+    by_cell = sorted(report.records, key=lambda r: (r["method"], r["shot"], r["seed"]))
+    assert data.decode() == "".join(map(_line, by_cell))
+
+    out_of_order = replace(in_order, methods=in_order.methods[::-1], shots=[3, 2], seeds=[2, 1],
+                           out_dir=tmp_path / "unsorted")
+    run_experiment(planted_pipeline(), out_of_order)
+    assert tmp_path / "unsorted" / "records.jsonl" in replaced
+    assert (tmp_path / "unsorted" / "records.jsonl").read_bytes() == data
+
+    failing = RunConfig(methods=[MethodSpec("knn")], shots=[2], seeds=[1],
+                        out_dir=tmp_path / "failed")
+    assert run_experiment(planted_pipeline(with_store=False), failing).failed_cells
+    assert (tmp_path / "failed" / "records.jsonl").read_bytes() == b""
+
+
+def test_each_draw_seed_is_derived_once_per_run(monkeypatch):
+    # Every draw order's seed is derived when the order is made: once per
+    # (stream, test input, seed), however many cells read the order.
+    from marginsel import evalharness
+
+    derived = Counter()
+    real = evalharness.derive_seed
+    monkeypatch.setattr(evalharness, "derive_seed",
+                        lambda seed, *parts: derived.update([(seed, *parts)]) or real(seed, *parts))
+    ctx = planted_pipeline()
+    ctx.backend = NoStep1For(ctx.backend, "gammasig")
+    cfg = RunConfig(
+        methods=[MethodSpec("random"), MethodSpec("marginsel", alpha=0.5),
+                 MethodSpec("marginsel", alpha=1.0)],
+        shots=[2, 3, 4], seeds=[1, 2], fallback="random")
+    report = run_experiment(ctx, cfg)
+    assert not report.failed_cells
+    fell_back = {(r["seed"], "fallback", r["id"]) for r in report.records if r["fallback"]}
+    assert fell_back
+    assert derived == Counter(
+        {(seed, stream, ex.id) for stream in ("random", "marginsel")
+         for ex in ctx.test.examples for seed in cfg.seeds} | fell_back)
+
+
 # --------------------------------------------------------------------------
 # requests in flight
 # --------------------------------------------------------------------------

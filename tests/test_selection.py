@@ -1,5 +1,6 @@
+import itertools
+import math
 import random
-import sys
 
 import numpy as np
 import pytest
@@ -255,37 +256,198 @@ def test_weighted_sample_cap_takes_the_last_remaining_entry(monkeypatch):
     assert got == want == ["d", "c", "b"]
 
 
-def test_weighted_sample_carries_exact_cumulative_sums(monkeypatch):
-    # The cumulative weights a draw carries from pick to pick must equal, bit
-    # for bit, a fresh cumsum over the weights left (picked slots zeroed):
-    # an ulp off moves a pick whenever r lands on a boundary, which no replay
-    # of random draws is likely to hit.  The rng stub reads the draw's arrays
-    # from weighted_sample's frame before every draw after the first.
-    real = random.Random
-    checked = []
+def _aimed_rng(weights, aim, real=random.Random):
+    """A random.Random stand-in whose every random() aims r = random() *
+    total at the point that ``aim(cumulative, left, chooser)`` picks, given
+    the protocol's prefix sums and the weights left (picked ones 0.0).  It
+    follows the protocol's picks itself, so a fresh instance replays the
+    same values, as random.Random does for a seed."""
 
-    class Checking:
+    class Aimed:
         def __init__(self, seed):
-            self.rng = real(seed)
+            self.chooser = real(seed)
+            self.left = list(weights)  # picked weights set to 0.0
 
         def random(self):
-            state = sys._getframe(1).f_locals
-            weights, cumulative = state["weights"], state["cumulative"]
-            if not weights.all():
-                assert cumulative.tobytes() == np.cumsum(weights).tobytes()
-                checked.append(len(weights) - np.count_nonzero(weights))
-            return self.rng.random()
+            cumulative = list(itertools.accumulate(self.left))
+            total = cumulative[-1]
+            target = aim(cumulative, self.left, self.chooser)
+            u = min(target / total, 1.0)
+            for _ in range(4):  # nudge u until u * total hits the target
+                if u * total == target or u >= 1.0:
+                    break
+                u = math.nextafter(u, math.inf if u * total < target else -math.inf)
+            r = u * total
+            chosen = next((i for i, c in enumerate(cumulative) if c > r), None)
+            if chosen is None:
+                chosen = max(i for i, w in enumerate(self.left) if w)
+            self.left[chosen] = 0.0
+            return u
 
-    monkeypatch.setattr(selection_module.random, "Random", Checking)
+    return Aimed
+
+
+def _on_a_boundary(after):
+    """An aim that puts r anywhere for the first ``after`` picks, then on the
+    prefix sum at a remaining row, or one ulp below or above it."""
+
+    def aim(cumulative, left, chooser):
+        if left.count(0.0) < after:
+            return chooser.random() * cumulative[-1]
+        edge = cumulative[chooser.choice([i for i, w in enumerate(left) if w])]
+        return chooser.choice([math.nextafter(edge, -math.inf), edge,
+                               math.nextafter(edge, math.inf)])
+
+    return aim
+
+
+def _check_aimed_draws(monkeypatch, golds, rho, aim_for, seeds, depths):
+    """weighted_sample under the rng that aim_for(depth, seed) aims, against
+    oracle_draw; returns the number of draws and of fallbacks."""
+    from test_acceptance import oracle_draw
+
+    replays = []
+    replay = selection_module._replay
     space = LabelSpace(["l1", "l2", "l3", "l4", "l5"])
+    pool = Pool([entry(f"e{i}", g, "11111", space) for i, g in enumerate(golds)])
+    weights = [rho.weight(g) for g in golds]
+    rows = [(e.example.id, e.example.gold) for e in pool]
+    draws = 0
+    for depth in depths:
+        for seed in seeds:
+            with monkeypatch.context() as patch:
+                patch.setattr(selection_module, "_replay",
+                              lambda *args: replays.append(None) or replay(*args))
+                patch.setattr(selection_module.random, "Random",
+                              _aimed_rng(weights, aim_for(depth, seed)))
+                got = [e.example.id for e in weighted_sample(pool, depth, rho, seed)]
+                want = oracle_draw(rows, rho.proportions, depth, seed)
+            assert got == want, (len(golds), depth, seed)
+            draws += 1
+    return draws, len(replays)
+
+
+def test_weighted_sample_falls_back_on_prefix_sum_boundaries(monkeypatch):
+    # r exactly on a prefix sum of the protocol's remaining weights, or one
+    # ulp either side, sits inside the search's error margin, so no such pick
+    # can be certified, whichever pick of the draw it is: every draw must be
+    # the protocol's own replay, and equal the oracle's.
+    space = ["l1", "l2", "l3", "l4", "l5"]
     rho = _rho(l1=0.40, l2=0.25, l3=0.17, l4=0.11, l5=0.07)
-    rng = real(23)
+    rng = random.Random(23)
+    total = fallbacks = 0
     for n in (2, 3, 9, 40, 300):
-        for trial in range(20):
-            golds = rng.choices(space.labels, weights=[40, 25, 17, 11, 7], k=n)
-            pool = Pool([entry(f"e{i}", g, "11111", space) for i, g in enumerate(golds)])
-            weighted_sample(pool, min(n - 1, 24), rho, seed=trial)
-    assert len(checked) > 1000 and max(checked) == 23
+        golds = rng.choices(space, weights=[40, 25, 17, 11, 7], k=n)
+        depths = sorted({1, min(n - 1, 2), min(n - 1, 7), min(n - 1, 24)})
+        draws, replays = _check_aimed_draws(
+            monkeypatch, golds, rho, lambda depth, seed: _on_a_boundary(seed % depth),
+            range(8), depths)
+        total += draws
+        fallbacks += replays
+    assert total > 100 and fallbacks == total
+
+
+def test_weighted_sample_falls_back_where_the_margin_is_wider_than_a_row(monkeypatch):
+    # Weights from 1 to 1e12: the margin (16 n u T) is wider than the light
+    # rows, so r aimed at the middle of a light row cannot be certified
+    # although it is far from either edge in exact terms; the fallback runs
+    # and the picks stay the oracle's.
+    rho = _rho(l1=1.0, l2=1e-3, l3=1e-6, l4=1e-9, l5=1e-12)
+    rng = random.Random(7)
+    golds = rng.choices(["l1", "l2", "l3", "l4", "l5"], weights=[60, 20, 10, 6, 4], k=300)
+
+    def mid_light_row(cumulative, left, chooser):
+        light = [i for i, w in enumerate(left) if 0.0 < w <= 1.0]
+        if not light or chooser.random() < 0.3:
+            return chooser.random() * cumulative[-1]
+        i = chooser.choice(light)
+        return cumulative[i] - left[i] / 2
+
+    draws, fallbacks = _check_aimed_draws(monkeypatch, golds, rho,
+                                          lambda depth, seed: mid_light_row, range(20), (1, 5, 24))
+    assert draws == 60 and 0 < fallbacks < draws
+
+
+def test_weighted_sample_is_the_protocol_over_many_draws():
+    # 4000 seeded draws over pools of 2 to 20000 rows, depths 1-24 and three
+    # rho per pool: each equals the protocol's step-for-step replay, and on
+    # pools of up to 400 rows the acceptance oracle too; none needs the
+    # fallback.
+    from test_acceptance import oracle_draw
+
+    space = ["l1", "l2", "l3", "l4", "l5"]
+    rng = random.Random(4000)
+    rhos = []
+    for _ in range(3):
+        props = [rng.uniform(0.01, 1.0) for _ in space]
+        rhos.append(LabelFrequency({l: p / sum(props) for l, p in zip(space, props)}))
+    sizes = sorted({round(2 ** (1 + i * math.log2(10000) / 39)) for i in range(40)})
+    draws = fallbacks = 0
+    for n in sizes:
+        golds = rng.choices(space, weights=[rng.random() for _ in space], k=n)
+        pool = Pool([entry(f"e{i}", g, "11111", LabelSpace(space)) for i, g in enumerate(golds)])
+        rows = [(e.example.id, e.example.gold) for e in pool]
+        weights = [np.array([rho.weight(g) for g in golds]) for rho in rhos]
+        for _ in range(4000 // len(sizes) + 1):
+            which, k, seed = rng.randrange(len(rhos)), rng.randint(1, min(24, n - 1)), rng.getrandbits(64)
+            rho = rhos[which]
+            want = selection_module._replay(weights[which], k, random.Random(seed))
+            got = weighted_sample(pool, k, rho, seed)
+            assert got == [pool[i] for i in want], (n, k, seed)
+            if n <= 400:
+                assert [e.example.id for e in got] == oracle_draw(rows, rho.proportions, k, seed)
+            labels = tuple(rho.weight(label) for label in pool.labels)
+            fallbacks += selection_module._certified_picks(
+                *pool.sums[labels], k, random.Random(seed)) is None
+            draws += 1
+        assert len(pool.sums) <= len(rhos)
+    assert draws >= 4000 and sizes[-1] == 20000 and fallbacks == 0
+
+
+def test_pool_sums_are_never_served_for_another_rho():
+    # One pool drawn under two rho in turn: each draw is its own rho's, the
+    # pool keeps one set of sums per rho, and a rho without the frequency of
+    # a pool label raises on every call, even when the pool fits in k.
+    from test_acceptance import oracle_draw
+
+    rng = random.Random(9)
+    pool = Pool([entry(f"e{i}", rng.choice(RGB.labels), "111") for i in range(60)])
+    rows = [(e.example.id, e.example.gold) for e in pool]
+    first, second = _rho(red=0.7, green=0.2, blue=0.1), _rho(red=0.1, green=0.2, blue=0.7)
+    for seed in range(30):
+        for rho in (first, second):
+            got = [e.example.id for e in weighted_sample(pool, 6, rho, seed)]
+            assert got == oracle_draw(rows, rho.proportions, 6, seed)
+    assert len(pool.sums) == 2
+    assert weighted_sample(pool, 6, first, 3) != weighted_sample(pool, 6, second, 3)
+    for k in (0, 6, 60, 61):
+        with pytest.raises(MissingFrequency):
+            weighted_sample(pool, k, _rho(red=0.5, green=0.5), seed=0)
+    assert len(pool.sums) == 2
+
+
+def test_the_draw_total_is_a_sequential_sum(monkeypatch):
+    # The protocol's total is the sequential float64 sum.  Here it is 1.0,
+    # while the exact (or compensated, as sum() is from CPython 3.12) total
+    # exceeds it, so r just below 1.0 * total picks the first row, and r just
+    # below the exact total would pass every prefix sum and take the last.
+    from test_acceptance import oracle_draw
+
+    class JustBelowOne:
+        def __init__(self, seed):
+            pass
+
+        def random(self):
+            return 1.0 - 2.0 ** -53
+
+    rho = _rho(red=1.0, green=1 / 1.1e-16)
+    rows = [entry("heavy", "red", "110")] + [entry(f"light{i}", "green", "110")
+                                             for i in range(10)]
+    weights = [rho.weight(e.example.gold) for e in rows]
+    assert list(itertools.accumulate(weights))[-1] == 1.0 < math.fsum(weights)
+    monkeypatch.setattr(selection_module.random, "Random", JustBelowOne)
+    want = oracle_draw([(e.example.id, e.example.gold) for e in rows], rho.proportions, 1, 0)
+    assert [e.example.id for e in weighted_sample(Pool(rows), 1, rho, 0)] == want == ["heavy"]
 
 
 def test_hard_draw_prefixes_equal_weighted_sample():
