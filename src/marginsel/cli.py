@@ -3,7 +3,8 @@
 One JSON config file drives every subcommand; ``--set key.path=value``
 overrides individual keys (values parsed as JSON, falling back to raw
 strings), merged as the same nested object in the file would be.  Unknown
-keys are rejected, listing the valid ones.
+keys are rejected, listing the valid ones, and so is a value that is not of
+its key's JSON kind, which DEFAULT_CONFIG's default gives.
 
 Subcommands: assign, select, predict, eval, sweep, analyze, theory-check.
 Exit codes: 0 ok, 2 config error, 3 backend failure, 4 empty hard selection
@@ -16,6 +17,7 @@ import argparse
 import contextlib
 import copy
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -126,14 +128,52 @@ DEFAULT_CONFIG: dict = {
     },
 }
 
-# Keys whose values are free-form mappings/lists rather than fixed sub-schemas;
-# they are set as a whole.
+
+# A kind is (its wording in errors, its test); a bool is never a number.
+_STRING = ("a string", lambda v: isinstance(v, str))
+_SCALARS = (_STRING, ("a string or null", lambda v: v is None or isinstance(v, str)),
+            ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+            ("a real number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)))
+_LIST = ("a list", lambda v: isinstance(v, list))
+
+
+def _list_of(kind: tuple) -> tuple:
+    return (f"a list of {kind[0].split(' ', 1)[1]}s",
+            lambda v: isinstance(v, list) and all(map(kind[1], v)))
+
+
+def _kind(default) -> tuple:
+    """A leaf's kind, from its default: a list takes a list of its first
+    element's kind, anything else the first of _SCALARS that takes it (so
+    null takes a string or null)."""
+    if isinstance(default, list):
+        return _list_of(_kind(default[0]))
+    return next(kind for kind in _SCALARS if kind[1](default))
+
+
+# Keys whose values are free-form mappings/lists rather than fixed sub-schemas,
+# with their kinds; they are set as a whole.
+_STRINGS = _list_of(_STRING)
 _OPAQUE_KEYS = {
-    ("backend", "mock_rules"),
-    ("eval", "methods"),
-    ("sweep", "alphas"),
-    ("labels",),
+    ("labels",): _STRINGS, ("eval", "methods"): _LIST, ("sweep", "alphas"): _LIST,
+    ("backend", "mock_rules"): ("an object of string lists", lambda v: isinstance(v, dict)
+                                and all(map(_STRINGS[1], v.values()))),
 }
+
+
+def _leaves(config: dict, path: tuple = ()):
+    """(path, value) for each leaf of config, an opaque key's value whole."""
+    for key, value in config.items():
+        here = path + (key,)
+        if isinstance(value, dict) and here not in _OPAQUE_KEYS:
+            yield from _leaves(value, here)
+        else:
+            yield here, value
+
+
+# The schema: each leaf's kind, from _OPAQUE_KEYS or else from its default.
+_SCHEMA = {path: _OPAQUE_KEYS.get(path) or _kind(default)
+           for path, default in _leaves(DEFAULT_CONFIG)}
 
 
 def _merge(base: dict, override: dict, path: tuple = ()) -> dict:
@@ -141,18 +181,14 @@ def _merge(base: dict, override: dict, path: tuple = ()) -> dict:
     for key, value in override.items():
         here = path + (key,)
         if key not in base:
-            valid = ", ".join(sorted(base))
-            raise ConfigError(
-                f"unknown config key {'.'.join(here)!r}; valid keys here: {valid}"
-            )
-        if isinstance(base[key], dict) and here not in _OPAQUE_KEYS:
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {'.'.join(here)!r} must be an object")
-            merged[key] = _merge(base[key], value, here)
-        elif isinstance(value, dict) and here not in _OPAQUE_KEYS:
-            raise ConfigError(f"config key {'.'.join(here)!r} is a value, not an object")
-        else:
+            raise ConfigError(f"unknown config key {'.'.join(here)!r}; "
+                              f"valid keys here: {', '.join(sorted(base))}")
+        if here in _SCHEMA:  # a leaf is replaced whole, its kind checked once merged
             merged[key] = copy.deepcopy(value)
+        elif not isinstance(value, dict):
+            raise ConfigError(f"config key {'.'.join(here)!r} must be an object")
+        else:
+            merged[key] = _merge(base[key], value, here)
     return merged
 
 
@@ -163,7 +199,7 @@ def _apply_override(config: dict, assignment: str) -> dict:
     dotted, raw = assignment.split("=", 1)
     keys = tuple(dotted.split("."))
     for i in range(1, len(keys)):
-        if keys[:i] in _OPAQUE_KEYS:
+        if keys[:i] in _SCHEMA:
             raise ConfigError(
                 f"unknown config key {dotted!r}; set {'.'.join(keys[:i])!r} as a whole"
             )
@@ -190,44 +226,15 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     config = _merge(DEFAULT_CONFIG, user)
     for assignment in overrides:
         config = _apply_override(config, assignment)
-    _check_types(config)
+    # Each leaf's kind is checked before any command hands it on (an int path
+    # would be opened as a file descriptor); the objects that take the values
+    # check their ranges.
+    for path, (wording, test) in _SCHEMA.items():
+        value = functools.reduce(dict.get, path, config)
+        if not test(value):
+            raise ConfigError(
+                f"config key {'.'.join(path)!r} must be {wording}, not {json.dumps(value)}")
     return config
-
-
-def _strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-_STRING_KEYS = {"templates.builtin", "backend.base_url", "backend.model", "backend.api_key_env",
-                "backend.mock_default", "eval.baseline"}
-
-
-def _check_types(config: dict) -> None:
-    """Refuse a value of the wrong JSON type before any command hands it on
-    (an int path would be opened as a file descriptor).  Every ``*path`` and
-    ``*dir`` key and each of _STRING_KEYS takes a string, or null where its
-    default is null."""
-    checks = []
-    for section, defaults in DEFAULT_CONFIG.items():
-        for key, default in defaults.items() if isinstance(defaults, dict) else ():
-            if key.endswith(("path", "dir")) or f"{section}.{key}" in _STRING_KEYS:
-                value = config[section][key]
-                checks.append((f"{section}.{key}", value,
-                               "a string" if default is not None else "a string or null",
-                               isinstance(value, str) or (value is None and default is None)))
-    b = config["backend"]
-    checks += [
-        ("labels", config["labels"], "a list of strings", _strings(config["labels"])),
-        ("backend.mock_rules", b["mock_rules"], "an object of string lists",
-         isinstance(b["mock_rules"], dict) and all(map(_strings, b["mock_rules"].values()))),
-        ("sweep.alphas", config["sweep"]["alphas"], "a list",
-         isinstance(config["sweep"]["alphas"], list)),
-        ("eval.methods", config["eval"]["methods"], "a list",
-         isinstance(config["eval"]["methods"], list)),
-    ]
-    for key, value, what, ok in checks:
-        if not ok:
-            raise ConfigError(f"config key {key!r} must be {what}, not {json.dumps(value)}")
 
 
 # --------------------------------------------------------------------------
@@ -292,18 +299,23 @@ def _closing(backend) -> contextlib.AbstractContextManager:
 def _datasets(
     config: dict, space: LabelSpace, test_split: bool = True
 ) -> tuple[Dataset, Dataset]:
-    """The train and test splits; without ``test_split`` the test split is
-    empty and no test file is read."""
+    """The train and test splits: dataset.train_path and dataset.test_path
+    when train_path is set, else a stratified split of dataset.path.
+    Without ``test_split`` the test split is empty and no test file is read."""
     d = config["dataset"]
-    if d["train_path"] and (d["test_path"] or not test_split):
+    empty = Dataset(space, ())
+    if d["train_path"]:
+        if test_split and not d["test_path"]:
+            raise ConfigError("dataset.train_path is set, so this command needs dataset.test_path")
         train = load_dataset(d["train_path"], space)
-        test = load_dataset(d["test_path"], space) if test_split else None
-    elif d["path"]:
-        full = load_dataset(d["path"], space)
-        train, test = stratified_split(full, d["test_fraction"], d["split_seed"])
-    else:
+        return train, load_dataset(d["test_path"], space) if test_split else empty
+    if d["test_path"]:
+        raise ConfigError("dataset.test_path needs dataset.train_path")
+    if not d["path"]:
         raise ConfigError("config needs dataset.path or dataset.train_path/test_path")
-    return train, test if test_split else Dataset(space, ())
+    train, test = stratified_split(load_dataset(d["path"], space), d["test_fraction"],
+                                   d["split_seed"])
+    return train, test if test_split else empty
 
 
 def _store(config: dict):
@@ -344,16 +356,12 @@ def cmd_assign(config: dict, args) -> int:
     backend = _backend(config, space)
     train, _ = _datasets(config, space, test_split=False)
     with _closing(backend):
-        entries = build_lookup(
-            train, backend, candidate_template, config["backend"]["max_in_flight"]
-        )
+        entries = build_lookup(train, backend, candidate_template,
+                               config["backend"]["max_in_flight"])
     save_lookup(entries, lookup_path, space)
     hist = analysis.candidate_histogram(entries)
     print(f"lookup table: {len(entries)} entries -> {lookup_path}")
-    print(
-        "candidate-count histogram: "
-        + ", ".join(f"{k}: {v:.3f}" for k, v in hist.items())
-    )
+    print("candidate-count histogram: " + ", ".join(f"{k}: {v:.3f}" for k, v in hist.items()))
     print(f"backend calls: {backend_calls(backend)}")
     return 0
 
@@ -428,16 +436,11 @@ def _context(
     train, test = _datasets(config, space, test_split=not adhoc)
     try:
         return ExperimentContext(
-            space=space,
-            train=train,
-            test=test,
-            backend=backend,
-            candidate_template=candidate_template,
-            final_template=final_template,
+            space=space, train=train, test=test, backend=backend,
+            candidate_template=candidate_template, final_template=final_template,
             lookup=_lookup(config, space) if marginsel else None,
             store=_store(config) if need_store else None,
-            max_in_flight=config["backend"]["max_in_flight"],
-        )
+            max_in_flight=config["backend"]["max_in_flight"])
     except StaleLookup:
         raise ConfigError(
             f"lookup table {Path(config['lookup']['path'])} does not hold the train "
@@ -573,10 +576,8 @@ def cmd_analyze(config: dict, args) -> int:
         wrote += ["step1_recall.json", "step1_recall.csv"]
 
     if not wrote:
-        raise ConfigError(
-            "nothing to analyze: provide analyze.vectors_path, a lookup table, "
-            "or a finished run's records"
-        )
+        raise ConfigError("nothing to analyze: provide analyze.vectors_path, a lookup table, "
+                          "or a finished run's records")
     print(f"analysis artifacts in {out_dir}: {', '.join(wrote)}")
     return 0
 
@@ -591,10 +592,7 @@ def cmd_theory_check(config: dict, args) -> int:
     print(f"decomposition max error: {report['decomposition']['max_abs_error']:.3e}")
     print(f"affine update max error: {report['affine_update']['max_abs_error']:.3e}")
     print(f"kkt worst stationarity:  {report['kkt']['stationarity']:.3e}")
-    print(
-        "support restriction max change: "
-        f"{report['support_restriction']['max_abs_change']:.3e}"
-    )
+    print(f"support restriction max change: {report['support_restriction']['max_abs_change']:.3e}")
     print(f"report: {out_path}")
     return 0
 

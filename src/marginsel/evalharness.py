@@ -292,7 +292,7 @@ class Selector:
         draw = self.draws.get((stream, test.id, seed))
         if draw is None:
             draw = self.draws[stream, test.id, seed] = PrefixDraw(
-                self.depth, derive_seed(seed, stream, test.id))
+                self.depth, seed=derive_seed(seed, stream, test.id))
         return draw
 
     def _ranking(self, needed_by: str, test: Example) -> Ranking:
@@ -334,7 +334,7 @@ class Selector:
         neighbours = self._ranking("marginsel at alpha < 1", test) if alpha < 1.0 else None
         draw = self._draw(MARGINSEL, test, seed)
         return select_demos(ctx.lookup, self.step1.get(test.id), neighbours, ctx.rho, alpha,
-                            shots, draw.seed, draw)
+                            shots, draw)
 
     def _demos(self, method: MethodSpec, shots: int, test: Example, seed: int
                ) -> tuple[list[tuple[Example, str]], bool]:
@@ -435,11 +435,18 @@ def _cell_key(record: dict) -> tuple:
     return (record["method"], record["shot"], record["seed"])
 
 
+# The JSON type of each record field that a resumed run or analyze reads.
+_RECORD_FIELDS = {"method": str, "shot": int, "seed": int, "id": str, "gold": str,
+                  "predicted": str, "demo_ids": list}
+
+
 def load_records(path: Path) -> dict[tuple, dict[str, dict]]:
     """A run directory's ``records.jsonl`` as {(method, shot, seed): {id:
     record}}, in file order; empty when the file does not exist.  A last
-    line with no newline that does not parse is the torn tail of an
-    interrupted append and is skipped; any other bad line raises."""
+    line with no newline that is not a record is the torn tail of an
+    interrupted append and is skipped.  Any other line that does not parse,
+    lacks a field of _RECORD_FIELDS or holds one of another type, or a
+    demo id that is not a string, raises."""
     cells: dict[tuple, dict[str, dict]] = {}
     if not path.exists():
         return cells
@@ -449,12 +456,15 @@ def load_records(path: Path) -> dict[tuple, dict[str, dict]]:
             continue
         try:
             record = json.loads(line)
-            key, example_id = _cell_key(record), record["id"]
+            whole = (all(type(record[k]) is t for k, t in _RECORD_FIELDS.items())
+                     and all(isinstance(i, str) for i in record["demo_ids"]))
         except (json.JSONDecodeError, KeyError, TypeError):
+            whole = False
+        if not whole:
             if line_no <= len(lines):
-                raise MarginSelError(f"{path}, line {line_no}: not a run record") from None
+                raise MarginSelError(f"{path}, line {line_no}: not a run record")
             continue
-        cells.setdefault(key, {})[example_id] = record
+        cells.setdefault(_cell_key(record), {})[record["id"]] = record
     return cells
 
 

@@ -345,7 +345,7 @@ class PrefixDraw:
 
     __slots__ = ("depth", "seed", "picks")
 
-    def __init__(self, depth: int = 0, seed: int = 0):
+    def __init__(self, depth: int = 0, *, seed: int):
         self.depth = depth
         self.seed = seed
         self.picks: list | None = None
@@ -360,18 +360,16 @@ class PrefixDraw:
         return self.picks[:k]
 
 
-def hard_picks(
-    draw: PrefixDraw, pool: Pool, k: int, rho: LabelFrequency, seed: int
-) -> list[LookupEntry]:
-    """weighted_sample(pool, k, rho, seed), read off ``draw``, the pool's
-    order for the seed.  A pool that fits in k is returned whole, so the
-    order never goes deeper than len(pool) - 1; it is still drawn, so that a
-    label with no frequency raises."""
+def hard_picks(draw: PrefixDraw, pool: Pool, k: int, rho: LabelFrequency) -> list[LookupEntry]:
+    """weighted_sample(pool, k, rho, draw.seed), read off ``draw``, the
+    pool's order for its seed.  A pool that fits in k is returned whole, so
+    the order never goes deeper than len(pool) - 1; it is still drawn, so
+    that a label with no frequency raises."""
     if not pool:
         return []
     fits = len(pool) <= k
     picks = draw.take(0 if fits else k, len(pool) - 1,
-                      lambda depth: weighted_sample(pool, depth, rho, seed))
+                      lambda depth: weighted_sample(pool, depth, rho, draw.seed))
     return list(pool) if fits else picks
 
 
@@ -382,7 +380,6 @@ def select_demos(
     rho: LabelFrequency,
     alpha: float,
     shots: int,
-    seed: int,
     draw: PrefixDraw,
 ) -> list[tuple[Example, str]]:
     """One test input's demonstrations as (example, source) pairs, the HARD
@@ -397,8 +394,8 @@ def select_demos(
 
     test_candidates may be None (or empty) when the assignment step failed
     for the test input; the matched pool is then empty.  The hard picks are
-    a prefix of ``draw``, the test input's draw order for ``seed``, which
-    this call fills when it is not yet deep enough."""
+    a prefix of ``draw``, the test input's draw order for ``draw.seed``,
+    which this call fills when it is not yet deep enough."""
     if not table:
         raise ValueError("lookup table is empty")
     quota = round_half_up(alpha * shots)
@@ -406,7 +403,7 @@ def select_demos(
         matched = EMPTY_POOL
     else:
         matched = match_hard(table, test_candidates)
-    hard = hard_picks(draw, matched, quota, rho, seed) if quota else []
+    hard = hard_picks(draw, matched, quota, rho) if quota else []
     demos = [(e.example, HARD) for e in hard]
     if alpha == 1.0:
         if not matched:

@@ -169,7 +169,7 @@ def test_criterion_1_selection_oracle_equivalence():
         try:
             demos = select_demos(
                 lookup, test_set, rank(store, "q", [e.example.id for e in lookup]), rho,
-                alpha, shots, seed, PrefixDraw()
+                alpha, shots, PrefixDraw(seed=seed)
             )
         except EmptySelection:
             assert alpha == 1.0 and not matched_rows
@@ -240,7 +240,7 @@ def test_criterion_2_alpha_endpoints():
         test_set = candidate_set_from_key(test_key, space)
         ids = [e.example.id for e in lookup]
         demos = select_demos(
-            lookup, test_set, rank(store, "q", ids), rho, 0.0, shots, trial, PrefixDraw()
+            lookup, test_set, rank(store, "q", ids), rho, 0.0, shots, PrefixDraw(seed=trial)
         )
         expected = knn_retrieve(store, "q", shots, ids)
         assert [ex.id for ex, _ in demos] == expected
@@ -250,7 +250,7 @@ def test_criterion_2_alpha_endpoints():
         }
         try:
             hard_only = select_demos(
-                lookup, test_set, None, rho, 1.0, shots, trial, PrefixDraw()
+                lookup, test_set, None, rho, 1.0, shots, PrefixDraw(seed=trial)
             )
             assert {ex.id for ex, _ in hard_only} <= matched_ids
             assert all(src == "hard" for _, src in hard_only)
@@ -273,8 +273,7 @@ def test_criterion_2_alpha_endpoints():
             rho,
             0.9,
             10,
-            composed,
-            PrefixDraw(),
+            PrefixDraw(seed=composed),
         )
         sources = [src for _, src in demos]
         assert sources.count("hard") == 9

@@ -342,15 +342,20 @@ def test_theory_check_reports_tiny_errors(tmp_path, capsys):
 
 
 def test_theory_check_refuses_ill_typed_values(tmp_path, capsys):
+    # the config's kind check refuses a value that is not an integer, theory
+    # the out-of-range ones
     config_path = make_workspace(tmp_path)
-    for override in ('theory.identity_instances="abc"', "theory.identity_instances=2.5",
-                     "theory.identity_instances=true", "theory.margin_instances=-1",
-                     "theory.margin_instances=0", 'theory.seed="x"', "theory.seed=false"):
+    ill_kinded = ('theory.identity_instances="abc"', "theory.identity_instances=2.5",
+                  "theory.identity_instances=true", 'theory.seed="x"', "theory.seed=false")
+    for override in ill_kinded + ("theory.margin_instances=-1", "theory.margin_instances=0"):
         capsys.readouterr()
         assert main(["--config", str(config_path), "--set", override, "theory-check"]) == 2
         err = capsys.readouterr().err
-        key = override.split("=")[0].split(".")[1]
-        assert "config error: theory " in err and key in err, err
+        key = override.split("=")[0]
+        if override in ill_kinded:
+            assert f"config error: config key {key!r} must be an integer, not " in err, err
+        else:
+            assert "config error: theory " in err and key.split(".")[1] in err, err
     assert not (tmp_path / "theory.json").exists()
 
 
@@ -603,6 +608,54 @@ def test_eval_names_a_bad_records_line(tmp_path, capsys):
     assert f"{records}, line 2:" in capsys.readouterr().err
 
 
+def test_eval_and_analyze_name_an_incomplete_records_line(tmp_path, capsys):
+    # A line that lacked gold, predicted or demo_ids made a resumed eval
+    # raise an uncaught KeyError.
+    config_path = make_workspace(tmp_path)
+    main(["--config", str(config_path), "assign"])
+    assert main(["--config", str(config_path), "eval"]) == 0
+    records = tmp_path / "runs" / "records.jsonl"
+    lines = records.read_text().splitlines(keepends=True)
+    for field, value in (("gold", None), ("predicted", None), ("demo_ids", None),
+                         ("gold", 1), ("predicted", ["red"]), ("demo_ids", "e01"),
+                         ("demo_ids", [1])):
+        record = json.loads(lines[1])
+        if value is None:
+            del record[field]
+        else:
+            record[field] = value
+        records.write_text(lines[0] + json.dumps(record) + "\n" + "".join(lines[2:]))
+        for command in ("eval", "analyze"):
+            capsys.readouterr()
+            assert main(["--config", str(config_path), command]) == 2, (field, value, command)
+            assert f"{records}, line 2: not a run record" in capsys.readouterr().err
+
+
+def test_a_train_file_needs_a_test_file_and_a_test_file_a_train_file(tmp_path, capsys):
+    # With dataset.path and dataset.train_path set and no test_path, assign
+    # read train_path but eval split path, then refused the lookup and asked
+    # to rerun assign, which never fixed it.  A test_path with no train_path
+    # was ignored.
+    config_path = make_workspace(tmp_path)
+    lines = (tmp_path / "data.jsonl").read_text().splitlines(keepends=True)
+    train, test = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+    train.write_text("".join(lines[:12]))
+    test.write_text("".join(lines[12:]))
+    with_train = ["--config", str(config_path),
+                  "--set", f"dataset.train_path={json.dumps(str(train))}"]
+    assert main([*with_train, "assign"]) == 0
+    for command in ("eval", "sweep", "select --test-id e20", "predict --test-id e20", "analyze"):
+        capsys.readouterr()
+        assert main([*with_train, *command.split()]) == 2, command
+        assert "config error: dataset.train_path is set, so this command needs dataset.test_path" \
+            in capsys.readouterr().err, command
+    assert not (tmp_path / "runs").exists()
+    test_only = f"dataset.test_path={json.dumps(str(test))}"
+    assert main(["--config", str(config_path), "--set", test_only, "assign"]) == 2
+    assert "config error: dataset.test_path needs dataset.train_path" in capsys.readouterr().err
+    assert main([*with_train, "--set", test_only, "eval"]) == 0
+
+
 def test_a_bad_lookup_or_embeddings_line_names_the_file_and_line(tmp_path, capsys):
     config_path = make_workspace(tmp_path)
     main(["--config", str(config_path), "assign"])
@@ -635,8 +688,11 @@ def test_max_in_flight_must_be_a_positive_int(tmp_path, capsys):
 
 
 def test_shots_seeds_and_alphas_must_be_well_typed(tmp_path, capsys):
-    # with a lookup table in place, each bad value is refused by its own
-    # check, before any request reaches the cached backend
+    # with a lookup table in place, each bad value is refused by the config's
+    # kind check (ill_kinded) or by its own check, before any request reaches
+    # the cached backend
+    ill_kinded = {"eval.shots=[2.5]", 'eval.shots=["3"]', "eval.shots=[true]",
+                  'eval.seeds=[1, "1"]', "select.shots=2.5", 'select.seed="x"'}
     config_path = make_workspace(tmp_path)
     assert main(["--config", str(config_path), "assign"]) == 0
     cached = (tmp_path / "cache" / "responses.jsonl").read_bytes()
@@ -659,6 +715,9 @@ def test_shots_seeds_and_alphas_must_be_well_typed(tmp_path, capsys):
         argv = ["--config", str(config_path), "--set", override, *command.split()]
         assert main(argv) == 2, (override, command)
         err = capsys.readouterr().err
+        if override in ill_kinded:
+            assert f"config error: config key {override.split('=')[0]!r} must be " in err, err
+            continue
         assert "config error" in err and ("shot" in err or "seeds" in err or "alpha" in err), err
     assert not (tmp_path / "runs").exists()
     assert (tmp_path / "cache" / "responses.jsonl").read_bytes() == cached
@@ -676,49 +735,75 @@ def test_split_fraction_and_seed_must_be_well_typed(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
-def test_config_values_of_the_wrong_json_type_exit_2(tmp_path, capsys):
-    # Each command below reads its key.  Before the type check, an int path
-    # was opened as a file descriptor, most values raised an uncaught
-    # TypeError or AttributeError, and eval.baseline=5 ran with no p-values.
+# The command that reads each config section's keys.
+_READER = {"labels": "assign", "dataset": "assign", "embeddings": "eval", "templates": "assign",
+           "lookup": "select --test-id e01", "backend": "assign", "select": "select --test-id e01",
+           "eval": "eval", "sweep": "sweep", "analyze": "analyze", "theory": "theory-check"}
+# One value of each JSON kind, and the ones that each kind of leaf takes.
+_VALUES = ("null", "true", '"x"', "2.5", "-1", "[1]", '{"a": 1}')
+_TAKES = {"a string or null": {"null", '"x"'}, "a string": {'"x"'}, "an integer": {"-1"},
+          "a real number": {"2.5", "-1"}, "a list": {"[1]"}, "a list of integers": {"[1]"}}
+
+
+def test_config_values_of_the_wrong_json_type_exit_2(tmp_path, capsys, monkeypatch):
+    # Every leaf set to each JSON kind, each run with a command that reads it.
+    # A value of another kind than the leaf's is refused before any command
+    # runs: no model call and no file written.  Before the kind check an int
+    # path was opened as a file descriptor, most values raised an uncaught
+    # TypeError or AttributeError, eval.baseline=5 ran with no p-values, and
+    # a mock config took backend.timeout=null.  A value of the leaf's kind
+    # never raises past main.
+    from marginsel import llm_client
+
+    calls = []
+    complete = llm_client.MockBackend.complete
+    monkeypatch.setattr(llm_client.MockBackend, "complete",
+                        lambda self, *args: calls.append(args) or complete(self, *args))
+    monkeypatch.chdir(tmp_path)  # the relative outputs of accepted values
     config_path = make_workspace(tmp_path)
     assert main(["--config", str(config_path), "assign"]) == 0
-    cached = (tmp_path / "cache" / "responses.jsonl").read_bytes()
-    for override, command in (
-        ("eval.out_dir=5", "eval"), ("eval.out_dir=null", "eval"), ("eval.baseline=5", "eval"),
-        ("embeddings.path=5", "eval"), ("sweep.alphas=0.5", "sweep"), ("eval.methods=true", "eval"),
-        ("lookup.path=5", "select --test-id e01"), ("lookup.path=null", "select --test-id e01"),
-        ("dataset.path=5", "assign"), ("backend.cache_dir=5", "assign"),
-        ("labels=[1, 2]", "assign"), ('labels="red"', "assign"),
-        ("backend.base_url=5", "assign"), ("backend.mock_default=5", "assign"),
-        ("backend.mock_rules=[1, 2]", "assign"), ('backend.mock_rules={"sigone": "red"}', "assign"),
-        ("templates.dir=[]", "assign"), ("templates.builtin=5", "assign"),
-        ("analyze.vectors_path=5", "analyze"), ("theory.out_path=5", "theory-check"),
-    ):
+    overrides = [f"{'.'.join(leaf)}={value}" for leaf in cli._SCHEMA for value in _VALUES] + [
+        "eval.out_dir=5", "eval.baseline=5", "embeddings.path=5", "sweep.alphas=0.5",
+        "lookup.path=5", "dataset.path=5", "backend.cache_dir=5", "labels=[1, 2]", 'labels="red"',
+        "backend.base_url=5", "backend.mock_default=5", "backend.mock_rules=[1, 2]",
+        'backend.mock_rules={"sigone": "red"}', "templates.dir=[]", "templates.builtin=5",
+        "analyze.vectors_path=5", "theory.out_path=5"]
+    for override in overrides:
+        key, value = override.split("=", 1)
+        kind = cli._SCHEMA[tuple(key.split("."))][0]
+        files = {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+        calls.clear()
         capsys.readouterr()
-        argv = ["--config", str(config_path), "--set", override, *command.split()]
-        assert main(argv) == 2, (override, command)
-        key = override.split("=")[0]
-        assert f"config error: config key {key!r} must be " in capsys.readouterr().err
-    assert not (tmp_path / "runs").exists()
-    assert (tmp_path / "cache" / "responses.jsonl").read_bytes() == cached
+        code = main(["--config", str(config_path), "--set", override,
+                     *_READER[key.split(".")[0]].split()])
+        if value in _TAKES.get(kind, ()):
+            assert code in (0, 2), override
+            continue
+        assert code == 2, override
+        assert (f"config error: config key {key!r} must be {kind}, not "
+                in capsys.readouterr().err), override
+        assert not calls, override
+        assert {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")} == files, override
 
 
 def test_backend_numbers_of_the_wrong_type_or_range_exit_2(tmp_path, capsys):
     # Before BackendConfig checked its numbers, max_retries=null and
     # temperature="hot" raised an uncaught TypeError, and the rest were
-    # accepted.  Each value is refused before any request is sent.
+    # accepted.  Each value is refused before any request is sent: by the
+    # config's kind check (ill_kinded) or by BackendConfig's range check.
     config_path = make_workspace(tmp_path)
     http = ["--set", 'backend.type="http"', "--set", 'backend.base_url="http://127.0.0.1:9"']
-    for override in ("backend.max_retries=null", 'backend.temperature="hot"',
-                     'backend.timeout="x"', "backend.timeout=-1", "backend.timeout=0",
-                     "backend.max_output_tokens=2.5", "backend.max_output_tokens=0",
-                     "backend.backoff_base=null", "backend.backoff_base=-0.5",
-                     "backend.max_retries=true", "backend.max_retries=11",
-                     "backend.temperature=false", "backend.timeout=true"):
+    ill_kinded = ("backend.max_retries=null", 'backend.temperature="hot"', 'backend.timeout="x"',
+                  "backend.max_output_tokens=2.5", "backend.backoff_base=null",
+                  "backend.max_retries=true", "backend.temperature=false", "backend.timeout=true")
+    for override in ill_kinded + ("backend.timeout=-1", "backend.timeout=0",
+                                  "backend.max_output_tokens=0", "backend.backoff_base=-0.5",
+                                  "backend.max_retries=11"):
         capsys.readouterr()
         assert main(["--config", str(config_path), *http, "--set", override, "assign"]) == 2
         key = override.split("=")[0]
-        assert f"config error: {key} must be " in capsys.readouterr().err, override
+        said = f"config key {key!r}" if override in ill_kinded else key
+        assert f"config error: {said} must be " in capsys.readouterr().err, override
     assert not (tmp_path / "cache").exists() and not (tmp_path / "lookup.jsonl").exists()
 
 
@@ -810,14 +895,5 @@ def test_readme_config_reference_matches_load_config(tmp_path):
     documented = json.loads(re.sub(r"\s//.*", "", block))
     config_path = tmp_path / "documented.json"
     config_path.write_text(json.dumps(documented))
-    cli.load_config(str(config_path), [])  # raises on a key it does not accept
-
-    def leaves(config, path=()):
-        for key, value in config.items():
-            here = path + (key,)
-            if isinstance(value, dict) and here not in cli._OPAQUE_KEYS:
-                yield from leaves(value, here)
-            else:
-                yield here
-
-    assert set(leaves(documented)) == set(leaves(cli.DEFAULT_CONFIG))
+    cli.load_config(str(config_path), [])  # raises on a key or kind it does not accept
+    assert {leaf for leaf, _ in cli._leaves(documented)} == set(cli._SCHEMA)

@@ -499,7 +499,8 @@ def test_resume_after_a_torn_records_tail(tmp_path):
 
 def test_a_bad_record_line_names_the_file_and_line(tmp_path):
     path = tmp_path / "records.jsonl"
-    good = json.dumps({"method": "random", "shot": 2, "seed": 1, "id": "x"})
+    good = json.dumps({"method": "random", "shot": 2, "seed": 1, "id": "x", "gold": "red",
+                       "predicted": "red", "demo_ids": []})
     for text, line_no in (
         (f"{good}\n{{torn\n{good}\n", 2),
         (f"{good}\n[1, 2]\n", 2),

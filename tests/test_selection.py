@@ -464,9 +464,9 @@ def test_hard_draw_prefixes_equal_weighted_sample():
     for quotas in ([2, 4, 4, 8], [16, 4], [1, 3, 17, 2]):
         for pool in pools:
             for seed in range(3):
-                for draw in (PrefixDraw(max(quotas)), PrefixDraw()):
+                for draw in (PrefixDraw(max(quotas), seed=seed), PrefixDraw(seed=seed)):
                     for k in quotas:
-                        assert hard_picks(draw, pool, k, rho, seed) == weighted_sample(
+                        assert hard_picks(draw, pool, k, rho) == weighted_sample(
                             pool, k, rho, seed)
                     if len(pool) > 1:
                         assert len(draw.picks) <= len(pool) - 1
@@ -474,10 +474,10 @@ def test_hard_draw_prefixes_equal_weighted_sample():
 
 def test_hard_draw_fails_every_take_on_a_missing_frequency():
     pool = Pool([entry("1", "red", "110"), entry("2", "green", "110"), entry("3", "red", "110")])
-    draw = PrefixDraw(4)
+    draw = PrefixDraw(4, seed=0)
     for k in (1, 2, 4):
         with pytest.raises(MissingFrequency):
-            hard_picks(draw, pool, k, _rho(red=1.0), seed=0)
+            hard_picks(draw, pool, k, _rho(red=1.0))
 
 
 def test_lookup_table_indexes_once(tmp_path):
@@ -534,7 +534,7 @@ def test_alpha_zero_is_pure_knn():
     store = _store_for(lookup)
     test_set = candidate_set_from_key("110", RGB)
     demos = select_demos(
-        lookup, test_set, _ranking(store, lookup), rho, 0.0, 4, 3, PrefixDraw()
+        lookup, test_set, _ranking(store, lookup), rho, 0.0, 4, PrefixDraw(seed=3)
     )
     knn_ids = knn_retrieve(store, "test", 4, [e.example.id for e in lookup])
     assert _ids(demos) == knn_ids
@@ -544,7 +544,7 @@ def test_alpha_zero_is_pure_knn():
 def test_alpha_one_hard_only_and_pool_exhaustion():
     lookup, rho = _lookup_fixture()
     test_set = candidate_set_from_key("011", RGB)  # matches ids 3 and 6
-    demos = select_demos(lookup, test_set, None, rho, 1.0, 4, 0, PrefixDraw())
+    demos = select_demos(lookup, test_set, None, rho, 1.0, 4, PrefixDraw(seed=0))
     assert sorted(_ids(demos)) == ["3", "6"]
     assert all(src == "hard" for _, src in demos)
 
@@ -553,13 +553,13 @@ def test_alpha_one_empty_match_raises():
     lookup, rho = _lookup_fixture()
     test_set = candidate_set_from_key("101", RGB)
     with pytest.raises(EmptySelection):
-        select_demos(lookup, test_set, None, rho, 1.0, 4, 0, PrefixDraw())
+        select_demos(lookup, test_set, None, rho, 1.0, 4, PrefixDraw(seed=0))
 
 
 def test_alpha_one_empty_step1_raises():
     lookup, rho = _lookup_fixture()
     with pytest.raises(EmptySelection):
-        select_demos(lookup, None, None, rho, 1.0, 4, 0, PrefixDraw())
+        select_demos(lookup, None, None, rho, 1.0, 4, PrefixDraw(seed=0))
 
 
 def test_mixed_alpha_quota_and_ordering():
@@ -567,7 +567,7 @@ def test_mixed_alpha_quota_and_ordering():
     store = _store_for(lookup)
     test_set = candidate_set_from_key("110", RGB)  # matches 1, 2, 4
     demos = select_demos(
-        lookup, test_set, _ranking(store, lookup), rho, 0.5, 4, 7, PrefixDraw()
+        lookup, test_set, _ranking(store, lookup), rho, 0.5, 4, PrefixDraw(seed=7)
     )
     sources = [src for _, src in demos]
     assert sources == ["hard", "hard", "knn", "knn"]
@@ -581,7 +581,7 @@ def test_knn_backfills_hard_shortfall():
     store = _store_for(lookup)
     test_set = candidate_set_from_key("010", RGB)  # only id 5 matches
     demos = select_demos(
-        lookup, test_set, _ranking(store, lookup), rho, 0.9, 4, 1, PrefixDraw()
+        lookup, test_set, _ranking(store, lookup), rho, 0.9, 4, PrefixDraw(seed=1)
     )
     assert len(demos) == 4  # 1 hard + 3 backfilled
     assert [src for _, src in demos][:1] == ["hard"]
@@ -592,7 +592,7 @@ def test_empty_step1_with_mixed_alpha_degrades_to_knn():
     lookup, rho = _lookup_fixture()
     store = _store_for(lookup)
     demos = select_demos(
-        lookup, None, _ranking(store, lookup), rho, 0.5, 4, 1, PrefixDraw()
+        lookup, None, _ranking(store, lookup), rho, 0.5, 4, PrefixDraw(seed=1)
     )
     assert all(src == "knn" for _, src in demos)
     assert len(demos) == 4
@@ -610,7 +610,7 @@ def test_zero_norm_hard_pick_is_never_scored():
     ids = [e.example.id for e in lookup]
     test_set = candidate_set_from_key("011", RGB)  # matches ids 3 and 6
     ranking = rank(store, "test", ids)
-    demos = select_demos(lookup, test_set, ranking, rho, 0.5, 4, 0, PrefixDraw())
+    demos = select_demos(lookup, test_set, ranking, rho, 0.5, 4, PrefixDraw(seed=0))
     assert _ids(demos) == ["3", "6"] + knn_retrieve(store, "test", 2, ids, {"3", "6"})
     assert [src for _, src in demos] == ["hard", "hard", "knn", "knn"]
     with pytest.raises(ZeroNorm):
@@ -621,8 +621,8 @@ def test_select_demos_deterministic():
     lookup, rho = _lookup_fixture()
     store = _store_for(lookup)
     test_set = candidate_set_from_key("110", RGB)
-    a = select_demos(lookup, test_set, _ranking(store, lookup), rho, 0.5, 4, 11, PrefixDraw())
-    b = select_demos(lookup, test_set, _ranking(store, lookup), rho, 0.5, 4, 11, PrefixDraw())
+    a = select_demos(lookup, test_set, _ranking(store, lookup), rho, 0.5, 4, PrefixDraw(seed=11))
+    b = select_demos(lookup, test_set, _ranking(store, lookup), rho, 0.5, 4, PrefixDraw(seed=11))
     assert a == b
 
 
@@ -651,7 +651,7 @@ def test_alpha_boundary_equivalence_property():
         test_set = candidate_set_from_labels([rng.choice(RGB.labels)], RGB)
         demos = select_demos(
             LookupTable(lookup), test_set, _ranking(store, lookup, "q"), rho,
-            0.0, shots, trial, PrefixDraw()
+            0.0, shots, PrefixDraw(seed=trial)
         )
         expected = knn_retrieve(store, "q", shots, [e.example.id for e in lookup])
         assert _ids(demos) == expected
