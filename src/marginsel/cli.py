@@ -524,9 +524,10 @@ def cmd_predict(config: dict, args) -> int:
 def cmd_analyze(config: dict, args) -> int:
     space = _space(config)
     a = config["analyze"]
-    out_dir = Path(a["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    wrote = []
+    records_path = Path(a["records_path"] or Path(config["eval"]["out_dir"]) / "records.jsonl")
+    if a["records_path"] and not records_path.exists():
+        raise ConfigError(f"analyze.records_path {records_path} not found")
+    files = {}  # file name -> its writer, which takes the file's path
 
     if a["vectors_path"]:
         store = load_embeddings(a["vectors_path"])
@@ -538,47 +539,40 @@ def cmd_analyze(config: dict, args) -> int:
             raise ConfigError(f"vectors with no gold label: {missing[:5]}")
         cm = analysis.centroid_distances(vectors, golds, space, a["metric"])
         matrix = cm.matrix.tolist()
-        write_json(out_dir / "centroids.json",
-                   {"metric": cm.metric, "labels": list(cm.labels), "matrix": matrix})
-        write_csv(out_dir / "centroids.csv", [["label", *cm.labels]] + [
+        files["centroids.json"] = functools.partial(write_json, obj={
+            "metric": cm.metric, "labels": list(cm.labels), "matrix": matrix})
+        files["centroids.csv"] = functools.partial(write_csv, rows=[["label", *cm.labels]] + [
             [label, *map(repr, row)] for label, row in zip(cm.labels, matrix)])
-        analysis.dump_projection_input(
-            vectors, {i: golds[i] for i in vectors}, out_dir / "projection.jsonl"
-        )
-        wrote += ["centroids.json", "centroids.csv", "projection.jsonl"]
+        files["projection.jsonl"] = functools.partial(
+            analysis.dump_projection_input, vectors, {i: golds[i] for i in vectors})
 
     lookup_path = Path(config["lookup"]["path"])
     if lookup_path.exists():
-        lookup = load_lookup(lookup_path, space)
-        hist = analysis.candidate_histogram(lookup)
-        write_json(out_dir / "histogram.json", {str(k): v for k, v in hist.items()})
-        write_csv(out_dir / "histogram.csv", [["candidate_count", "frequency"]] + [
-            [k, repr(v)] for k, v in sorted(hist.items())])
-        wrote += ["histogram.json", "histogram.csv"]
+        hist = analysis.candidate_histogram(load_lookup(lookup_path, space))
+        files["histogram.json"] = functools.partial(
+            write_json, obj={str(k): v for k, v in hist.items()})
+        files["histogram.csv"] = functools.partial(write_csv, rows=[
+            ["candidate_count", "frequency"]] + [[k, repr(v)] for k, v in sorted(hist.items())])
 
-    eval_records = Path(config["eval"]["out_dir"]) / "records.jsonl"
-    records = [
-        analysis.Step1Record(
-            gold=raw["gold"],
-            predicted=raw["predicted"],
-            candidates=None if raw.get("step1") is None
-            else candidate_set_from_labels(raw["step1"], space),
-        )
-        for cell in load_records(Path(a["records_path"] or eval_records)).values()
-        for raw in cell.values()
-    ]
+    records = [analysis.Step1Record(raw["gold"], raw["predicted"], None if raw.get("step1") is None
+                                    else candidate_set_from_labels(raw["step1"], space))
+               for cell in load_records(records_path).values() for raw in cell.values()]
     if records:
         recall = analysis.step1_recall(records, space)
-        write_json(out_dir / "step1_recall.json", recall)
-        write_csv(out_dir / "step1_recall.csv", [["label", "stratum", "recall"]] + [
+        files["step1_recall.json"] = functools.partial(write_json, obj=recall)
+        files["step1_recall.csv"] = functools.partial(write_csv, rows=[
+            ["label", "stratum", "recall"]] + [
             [label, stratum, repr(value)]
             for label in sorted(recall) for stratum, value in sorted(recall[label].items())])
-        wrote += ["step1_recall.json", "step1_recall.csv"]
 
-    if not wrote:
+    if not files:
         raise ConfigError("nothing to analyze: provide analyze.vectors_path, a lookup table, "
                           "or a finished run's records")
-    print(f"analysis artifacts in {out_dir}: {', '.join(wrote)}")
+    out_dir = Path(a["out_dir"])  # made once every table is computed, so exit 2 leaves none
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, write in files.items():
+        write(out_dir / name)
+    print(f"analysis artifacts in {out_dir}: {', '.join(files)}")
     return 0
 
 

@@ -137,7 +137,7 @@ class MethodSpec:
         return self.name
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     methods: list[MethodSpec]
     shots: list[int] = field(default_factory=lambda: [2, 4, 6, 8, 10])
@@ -162,10 +162,24 @@ class RunConfig:
         labels = [m.label() for m in self.methods]
         if len(set(labels)) < len(labels):
             raise ValueError(f"a method is listed more than once: {', '.join(labels)}")
+        if not _is_label(self.baseline):
+            raise ValueError(f"unknown baseline {self.baseline!r}; valid: random, knn, "
+                             "marginsel(alpha=A) with A in [0, 1] as %g writes it")
 
 
-@dataclass
+def _is_label(text: str) -> bool:
+    """Whether text is some method's MethodSpec.label."""
+    try:
+        alpha = float(text.removeprefix(f"{MARGINSEL}(alpha=").removesuffix(")"))
+        return MethodSpec(MARGINSEL, alpha).label() == text
+    except ValueError:  # no real alpha in [0, 1]
+        return text in (RANDOM, KNN_METHOD)
+
+
+@dataclass(frozen=True, eq=False)
 class ExperimentContext:
+    """A run's inputs, frozen: dataclasses.replace checks and derives again."""
+
     space: LabelSpace
     train: Dataset
     test: Dataset
@@ -176,26 +190,16 @@ class ExperimentContext:
     store: EmbeddingStore | None = None
     max_in_flight: int = 4
     rho: LabelFrequency = field(init=False)  # label_frequency of train
-    # the train split the index was built from, and the index; an init field
-    # so that dataclasses.replace hands it on instead of rebuilding it
-    knn_index: tuple[Dataset, CandidateIndex] | None = field(default=None, repr=False)
+    # the train ids prepared for ranking against the store (None without one)
+    index: CandidateIndex | None = field(init=False, repr=False)
 
     def __post_init__(self):
         check_in_flight(self.max_in_flight)
-        self.rho = label_frequency(self.train)
+        object.__setattr__(self, "rho", label_frequency(self.train))
         if self.lookup is not None:
             check_lookup(self.lookup, self.train)
-        if self.store is not None:
-            self.train_index()
-
-    def train_index(self) -> CandidateIndex:
-        """The train ids prepared for ranking against the store: built with
-        the context, and rebuilt only after the store or the train split was
-        replaced."""
-        built = self.knn_index
-        if built is None or built[0] is not self.train or built[1].store is not self.store:
-            built = self.knn_index = (self.train, build_index(self.store, self.train.ids()))
-        return built[1]
+        object.__setattr__(self, "index", None if self.store is None
+                           else build_index(self.store, self.train.ids()))
 
 
 @dataclass
@@ -264,10 +268,12 @@ class Selector:
     parsed once per selector too: the demo line of each train example by
     id, the instruction of each test input by id, and the prediction of each
     distinct reply that parsed (a reply that does not parse is parsed, and
-    logged, again for each record that gets it)."""
+    logged, again for each record that gets it).  Its requests go through ``pool``, if any."""
 
-    def __init__(self, ctx: ExperimentContext, fallback: str | None, depth: int):
+    def __init__(self, ctx: ExperimentContext, fallback: str | None, depth: int,
+                 pool: Executor | None = None):
         self.ctx = ctx
+        self.pool = pool
         self.fallback = fallback  # the policy when marginsel's selection is empty
         self.depth = depth
         self.step1: dict[str, CandidateSet] = {}
@@ -278,13 +284,13 @@ class Selector:
         self.instructions: dict[str, str] = {}  # test id -> instruction
         self.replies: dict[str, str] = {}  # reply -> predicted label
 
-    def assign(self, tests: Sequence[Example], pool: Executor | None = None) -> None:
-        """Step 1 for the test inputs that have no candidate set yet, with
-        the requests sent through ``pool`` (or here, without one)."""
+    def assign(self, tests: Sequence[Example]) -> None:
+        """Step 1 for the test inputs that have no candidate set yet."""
         ctx = self.ctx
         missing = [ex for ex in tests if ex.id not in self.step1]
         self.step1.update(zip([ex.id for ex in missing], assign_candidates(
-            ctx.backend, ctx.candidate_template, [ex.text for ex in missing], ctx.space, pool)))
+            ctx.backend, ctx.candidate_template, [ex.text for ex in missing], ctx.space,
+            self.pool)))
 
     def _draw(self, stream: str, test: Example, seed: int) -> PrefixDraw:
         """The (stream, test, seed) draw order, made with its seed derived
@@ -303,8 +309,7 @@ class Selector:
             ctx = self.ctx
             if ctx.store is None:
                 raise NoEmbeddingStore(f"{needed_by} needs an embedding store")
-            ranking = self.rankings[test.id] = rank(
-                ctx.store, test.id, ctx.train_index(), knn_retrieve)
+            ranking = self.rankings[test.id] = rank(ctx.store, test.id, ctx.index, knn_retrieve)
         return ranking
 
     def _knn(self, needed_by: str, shots: int, test: Example) -> list[tuple[Example, str]]:
@@ -367,17 +372,16 @@ class Selector:
         return ctx.final_template.system, join_prompt([lines[ex.id] for ex, _ in demos],
                                                       instruction)
 
-    def predict(self, method: MethodSpec, shots: int, seed: int, tests: Sequence[Example],
-                pool: Executor | None = None) -> list[dict]:
+    def predict(self, method: MethodSpec, shots: int, seed: int, tests: Sequence[Example]
+                ) -> list[dict]:
         """One cell's records for ``tests``: step 1 for marginsel, then every
         input's demos here.  A prompt asked before takes its prediction; each
-        new one is rendered here, only its request goes through the pool (or
-        runs here, without one), and its reply is parsed here, or takes the
-        prediction of the same reply parsed before; a malformed reply
-        predicts the INVALID token."""
+        new one is rendered here, only its request goes through the pool, and
+        its reply is parsed here, or takes the prediction of the same reply
+        parsed before; a malformed reply predicts the INVALID token."""
         ctx = self.ctx
         if method.name == MARGINSEL:
-            self.assign(tests, pool)
+            self.assign(tests)
         records = []
         asked = []  # (record, demos, test) per prompt not asked before
         for test in tests:
@@ -403,7 +407,7 @@ class Selector:
                 record["predicted"] = predicted
         prompts = (self._prompt(demos, test) for _, demos, test in asked)
         replies = self.replies
-        for (record, _, _), reply in zip(asked, complete_all(ctx.backend, prompts, pool)):
+        for (record, _, _), reply in zip(asked, complete_all(ctx.backend, prompts, self.pool)):
             predicted = replies.get(reply)
             if predicted is None:
                 try:
@@ -502,10 +506,10 @@ def run_experiment(ctx: ExperimentContext, cfg: RunConfig) -> RunReport:
 
     # each record's records.jsonl line, encoded once (never without a run directory)
     encode = _line if records_path else lambda record: ""
-    selector = Selector(ctx, cfg.fallback, max(cfg.shots))
     all_records: list[tuple[dict, str]] = []  # (record, its line)
     cells: list[dict] = []
     with request_pool(ctx.max_in_flight) as pool:
+        selector = Selector(ctx, cfg.fallback, max(cfg.shots), pool)
         for method, shot, seed in itertools.product(cfg.methods, cfg.shots, cfg.seeds):
             key = (method.label(), shot, seed)
             cached = existing.get(key, {})
@@ -514,7 +518,7 @@ def run_experiment(ctx: ExperimentContext, cfg: RunConfig) -> RunReport:
             try:
                 pending = [ex for ex in ctx.test.examples if ex.id not in cached]
                 fresh = [(r, encode(r))
-                         for r in selector.predict(method, shot, seed, pending, pool)]
+                         for r in selector.predict(method, shot, seed, pending)]
                 if fresh and records_path:
                     # flushed as soon as a cell finishes so an
                     # interrupted run resumes without recomputation

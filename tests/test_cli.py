@@ -331,6 +331,32 @@ def test_analyze_emits_artifacts(tmp_path, capsys):
     assert hist == {"2": 1.0}  # every mock candidate set has two labels
 
 
+def test_analyze_with_nothing_to_analyze_leaves_no_directory(tmp_path, capsys):
+    # No vectors, no lookup table and no records: analyze.out_dir was once
+    # made before the exit 2.
+    config_path = make_workspace(tmp_path)
+    assert main(["--config", str(config_path), "--set", "analyze.vectors_path=null",
+                 "analyze"]) == 2
+    assert "nothing to analyze" in capsys.readouterr().err
+    assert not (tmp_path / "analysis").exists()
+
+
+def test_analyze_refuses_a_missing_records_path(tmp_path, capsys):
+    # A missing analyze.records_path was once ignored: exit 0 with no
+    # step1_recall files.  The default <eval.out_dir>/records.jsonl may be absent.
+    config_path = make_workspace(tmp_path)
+    assert main(["--config", str(config_path), "assign"]) == 0
+    missing = tmp_path / "runs" / "nope" / "records.jsonl"
+    capsys.readouterr()
+    assert main(["--config", str(config_path), "--set", f'analyze.records_path="{missing}"',
+                 "analyze"]) == 2
+    assert f"config error: analyze.records_path {missing} not found" in capsys.readouterr().err
+    assert not (tmp_path / "analysis").exists()
+    assert main(["--config", str(config_path), "analyze"]) == 0
+    assert sorted(p.name for p in (tmp_path / "analysis").iterdir()) == [
+        "centroids.csv", "centroids.json", "histogram.csv", "histogram.json", "projection.jsonl"]
+
+
 def test_theory_check_reports_tiny_errors(tmp_path, capsys):
     config_path = make_workspace(tmp_path)
     assert main(["--config", str(config_path), "theory-check"]) == 0
@@ -521,6 +547,31 @@ def test_duplicate_methods_exit_2(tmp_path, capsys):
     assert code == 2
     assert "more than once" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+def test_a_baseline_must_be_a_method_label(tmp_path, capsys):
+    # A misspelt baseline once ran with exit 0 and no p-value column.  A
+    # baseline is a label as MethodSpec.label writes it; one that names no
+    # method of the run keeps its run, with no p-value column.
+    config_path = make_workspace(tmp_path)
+    assert main(["--config", str(config_path), "assign"]) == 0
+    for bad in ("rnadom", "Random", "marginsel", "marginsel(alpha=0.50)",
+                "marginsel(alpha=1.0)", "marginsel(alpha=2)", "marginsel(alpha=nan)"):
+        for command in ("eval", "sweep"):
+            capsys.readouterr()
+            assert main(["--config", str(config_path), "--set", f'eval.baseline="{bad}"',
+                         command]) == 2, bad
+            err = capsys.readouterr().err
+            assert (f"config error: unknown baseline {bad!r}; valid: random, knn, "
+                    "marginsel(alpha=A) with A in [0, 1] as %g writes it") in err, bad
+    assert not (tmp_path / "runs").exists()
+    summary = {}
+    for baseline in ("knn", "marginsel(alpha=0.5)"):
+        assert main(["--config", str(config_path), "--set", f'eval.baseline="{baseline}"',
+                     "eval"]) == 0
+        report = json.loads((tmp_path / "runs" / "report.json").read_text())
+        summary[baseline] = {row["method"] for row in report["summary"] if "p_vs_baseline" in row}
+    assert summary == {"knn": {"random", "marginsel(alpha=1)"}, "marginsel(alpha=0.5)": set()}
 
 
 def test_sweep_reports_failed_cells(tmp_path, capsys, monkeypatch):

@@ -94,3 +94,25 @@ def test_empty_set_is_representable_but_marked():
 def test_example_requires_id():
     with pytest.raises(ValueError):
         Example(id="", text="t", gold="a")
+
+
+def test_every_dataclass_that_checks_its_values_is_frozen():
+    # A dataclass whose __post_init__ checks or derives its values is frozen,
+    # so none of them can change after the checks: dataclasses.replace, which
+    # runs them again, is the only way to change one.
+    import dataclasses
+    import importlib
+    import inspect
+    import pkgutil
+
+    import marginsel
+
+    checked = set()
+    for info in pkgutil.iter_modules(marginsel.__path__):
+        module = importlib.import_module(f"marginsel.{info.name}")
+        for cls in vars(module).values():
+            if (inspect.isclass(cls) and cls.__module__ == module.__name__
+                    and dataclasses.is_dataclass(cls) and "__post_init__" in vars(cls)):
+                assert cls.__dataclass_params__.frozen, cls.__qualname__
+                checked.add(cls.__qualname__)
+    assert {"ExperimentContext", "RunConfig", "MethodSpec", "Dataset", "Example"} <= checked

@@ -165,7 +165,7 @@ def test_predict_one_invalid_after_one_request():
             return "no tags here", 1
 
     ctx = _echo_ctx([("1", "x", "red"), ("2", "y", "green")])
-    ctx.backend = GarbageBackend()
+    ctx = replace(ctx, backend=GarbageBackend())
     predicted, record = predict_one(
         ctx, MethodSpec("random"), 2, ctx.test.examples[0], seed=0
     )
@@ -220,9 +220,9 @@ class FirstReplyGarbageBackend:
 def test_cached_and_uncached_predictions_agree(tmp_path):
     ctx = _echo_ctx([("1", "x", "red"), ("2", "y", "green")])
     test = ctx.test.examples[0]
-    ctx.backend = FirstReplyGarbageBackend()
+    ctx = replace(ctx, backend=FirstReplyGarbageBackend())
     uncached, _ = predict_one(ctx, MethodSpec("random"), 2, test, seed=0)
-    ctx.backend = CachedBackend(FirstReplyGarbageBackend(), tmp_path / "cache")
+    ctx = replace(ctx, backend=CachedBackend(FirstReplyGarbageBackend(), tmp_path / "cache"))
     cached, _ = predict_one(ctx, MethodSpec("random"), 2, test, seed=0)
     assert cached == uncached == INVALID
 
@@ -252,10 +252,10 @@ def test_marginsel_fallback_to_knn():
     from marginsel.knn import build_store
 
     odd = Example(id="te-odd", text="alphasig betasig rubyword n0", gold="red")
-    ctx.store = build_store(
+    ctx = replace(ctx, store=build_store(
         [(i, list(v)) for i, v in zip(ctx.store.row, ctx.store.matrix)]
         + [("te-odd", [0.1, 0.2, 0.3])]
-    )
+    ))
     predicted, record = predict_one(
         ctx, MethodSpec("marginsel", alpha=1.0), 3, odd, seed=1, fallback_policy="knn"
     )
@@ -266,22 +266,20 @@ def test_marginsel_fallback_to_knn():
 
 
 def test_rankings_follow_a_replaced_store_or_train_split():
-    # The context builds its train index once; dataclasses.replace hands it
-    # on, and replacing the store or the train split rebuilds it.
+    # The context builds its train index with itself, and dataclasses.replace
+    # builds a new one, over the replaced store or train split.
     from marginsel.knn import build_store
 
     ctx = planted_pipeline()
     test = ctx.test.examples[0]
     train_ids = [e.id for e in ctx.train.examples]
-    index = ctx.train_index()
-    assert index.store is ctx.store
-    assert replace(ctx, backend=ctx.backend).train_index() is index
+    assert ctx.index.store is ctx.store
     _, before = predict_one(ctx, MethodSpec("knn"), 4, test, seed=0)
     assert before["demo_ids"] == knn_retrieve(ctx.store, test.id, 4, train_ids)
-    ctx.store = build_store([(i, [-x for x in v] if i == test.id else list(v))
-                             for i, v in zip(ctx.store.row, ctx.store.matrix)])
+    ctx = replace(ctx, store=build_store([(i, [-x for x in v] if i == test.id else list(v))
+                                          for i, v in zip(ctx.store.row, ctx.store.matrix)]))
     _, after = predict_one(ctx, MethodSpec("knn"), 4, test, seed=0)
-    assert ctx.train_index().store is ctx.store
+    assert ctx.index.store is ctx.store
     assert after["demo_ids"] == knn_retrieve(ctx.store, test.id, 4, train_ids)
     assert after["demo_ids"] != before["demo_ids"]
     fewer = make_dataset(ctx.space, [(e.id, e.text, e.gold) for e in ctx.train.examples[::2]])
@@ -530,7 +528,7 @@ class Step1Counter:
 
 def test_step1_runs_once_per_test_input():
     ctx = planted_pipeline()
-    ctx.backend = Step1Counter(ctx.backend)
+    ctx = replace(ctx, backend=Step1Counter(ctx.backend))
     cfg = RunConfig(
         methods=[MethodSpec("marginsel", alpha=1.0)],
         shots=[2, 3],
@@ -573,7 +571,7 @@ def test_each_test_input_is_ranked_once_per_run(monkeypatch):
             return self.backend.complete(system, user)
 
     ctx = planted_pipeline(with_store=True)
-    ctx.backend = NoStep1ForGamma(ctx.backend)
+    ctx = replace(ctx, backend=NoStep1ForGamma(ctx.backend))
     cfg = RunConfig(
         methods=[MethodSpec("knn"), MethodSpec("marginsel", alpha=0.5),
                  MethodSpec("marginsel", alpha=1.0)],
@@ -640,7 +638,7 @@ def test_hard_draws_go_as_deep_as_the_largest_shot_count(monkeypatch, fallback):
 
     monkeypatch.setattr(selection, "weighted_sample", counted)
     ctx = planted_pipeline(with_store=True)
-    ctx.backend = NoStep1For(ctx.backend, "gammasig")
+    ctx = replace(ctx, backend=NoStep1For(ctx.backend, "gammasig"))
     cfg = RunConfig(methods=[MethodSpec("marginsel", alpha=0.5)], shots=[2, 3, 4, 5, 6, 7, 8],
                     seeds=[0, 1, 2], fallback=fallback)
     report = run_experiment(ctx, cfg)
@@ -662,7 +660,7 @@ def _uniform_grid(n_train_per_sig, out_dir=None):
     """The random method and the random fallback (gamma inputs have no
     step-1 set) over shots 1-16: a context, a config and the run's report."""
     ctx = planted_pipeline(n_train_per_sig=n_train_per_sig)
-    ctx.backend = NoStep1For(ctx.backend, "gammasig")
+    ctx = replace(ctx, backend=NoStep1For(ctx.backend, "gammasig"))
     cfg = RunConfig(
         methods=[MethodSpec("random"), MethodSpec("marginsel", alpha=1.0)],
         shots=list(range(1, 17)),
@@ -744,6 +742,30 @@ def test_replacing_the_train_split_checks_the_lookup_again():
     assert moved.rho.weight("red") == other.rho.weight("red")
 
 
+def test_a_context_or_run_config_cannot_be_edited_in_place():
+    # Assigning ctx.train once skipped the lookup check and rho, and a
+    # marginsel run over a 7-per-signature split drew tr-a7, tr-b7 and tr-g7
+    # from the stale lookup.  No field can be assigned; replace checks again.
+    from dataclasses import FrozenInstanceError, fields
+
+    from marginsel.selection import StaleLookup
+
+    ctx = planted_pipeline()
+    smaller = planted_pipeline(n_train_per_sig=7)
+    for f in fields(ctx):
+        with pytest.raises(FrozenInstanceError):
+            setattr(ctx, f.name, getattr(smaller, f.name))
+    cfg = RunConfig([MethodSpec("marginsel", alpha=1.0)], shots=[8], seeds=[0, 1],
+                    fallback="random")
+    for f in fields(cfg):
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, f.name, getattr(cfg, f.name))
+    with pytest.raises(StaleLookup):
+        replace(ctx, train=smaller.train)
+    train_ids = {ex.id for ex in ctx.train.examples}
+    assert all(set(r["demo_ids"]) <= train_ids for r in run_experiment(ctx, cfg).records)
+
+
 def test_context_refuses_a_lookup_of_another_split():
     # The lookup is the kNN candidate list as well as the hard pool, so a
     # context whose lookup does not hold the train split in order is refused.
@@ -772,7 +794,7 @@ def test_step1_backend_error_fails_only_marginsel_cells():
             return self.backend.complete(system, user)
 
     ctx = planted_pipeline()
-    ctx.backend = Step1Down(ctx.backend)
+    ctx = replace(ctx, backend=Step1Down(ctx.backend))
     cfg = RunConfig(
         methods=[MethodSpec("random"), MethodSpec("marginsel", alpha=1.0)],
         shots=[2],
@@ -812,12 +834,12 @@ def test_corrupt_cache_entries_are_misses(tmp_path):
         )
         run_experiment(ctx, cfg)
 
-    ctx.backend = CachedBackend(model, tmp_path / "cache")
+    ctx = replace(ctx, backend=CachedBackend(model, tmp_path / "cache"))
     run("first")
     cache = tmp_path / "cache" / "responses.jsonl"
     entries = cache.read_bytes().splitlines()
     cache.write_bytes(b"".join(line[:20] + b"\n" for line in entries))
-    ctx.backend = CachedBackend(model, tmp_path / "cache")
+    ctx = replace(ctx, backend=CachedBackend(model, tmp_path / "cache"))
     run("second")
     for name in ("records.jsonl", "report.json", "report.csv"):
         assert (tmp_path / "first" / name).read_bytes() == (
@@ -974,7 +996,7 @@ def test_each_draw_seed_is_derived_once_per_run(monkeypatch):
     monkeypatch.setattr(evalharness, "derive_seed",
                         lambda seed, *parts: derived.update([(seed, *parts)]) or real(seed, *parts))
     ctx = planted_pipeline()
-    ctx.backend = NoStep1For(ctx.backend, "gammasig")
+    ctx = replace(ctx, backend=NoStep1For(ctx.backend, "gammasig"))
     cfg = RunConfig(
         methods=[MethodSpec("random"), MethodSpec("marginsel", alpha=0.5),
                  MethodSpec("marginsel", alpha=1.0)],
@@ -1029,9 +1051,10 @@ def test_results_do_not_depend_on_requests_in_flight(tmp_path):
         for in_flight in (1, 4):
             for cached in (False, True):
                 ctx = replace(planted_pipeline(), max_in_flight=in_flight)
-                ctx.backend = NoStep1For(ctx.backend, "gammasig")
+                ctx = replace(ctx, backend=NoStep1For(ctx.backend, "gammasig"))
                 if cached:
-                    ctx.backend = CachedBackend(ctx.backend, tmp_path / f"cache{in_flight}")
+                    ctx = replace(ctx, backend=CachedBackend(ctx.backend,
+                                                             tmp_path / f"cache{in_flight}"))
                 out = tmp_path / f"run-{in_flight}-{cached}"
                 report = run_experiment(ctx, _every_method(out))
                 assert not report.failed_cells
@@ -1074,9 +1097,11 @@ def test_results_do_not_depend_on_the_cache(tmp_path):
     for in_flight in (1, 4):
         for cached in (False, True):
             ctx = replace(planted_pipeline(), max_in_flight=in_flight)
-            ctx.backend = Resampling(NoStep1For(ctx.backend, "gammasig"), ctx.space)
+            ctx = replace(ctx, backend=Resampling(NoStep1For(ctx.backend, "gammasig"),
+                                                  ctx.space))
             if cached:
-                ctx.backend = CachedBackend(ctx.backend, tmp_path / f"cache{in_flight}")
+                ctx = replace(ctx, backend=CachedBackend(ctx.backend,
+                                                         tmp_path / f"cache{in_flight}"))
             out = tmp_path / f"run-{in_flight}-{cached}"
             assert not run_experiment(ctx, _every_method(out)).failed_cells
             outputs[in_flight, cached] = [
@@ -1107,7 +1132,8 @@ class PromptCounter:
 def test_each_distinct_prompt_is_asked_once():
     for in_flight in (1, 4):
         ctx = replace(planted_pipeline(), max_in_flight=in_flight)
-        ctx.backend = counter = PromptCounter(NoStep1For(ctx.backend, "gammasig"))
+        counter = PromptCounter(NoStep1For(ctx.backend, "gammasig"))
+        ctx = replace(ctx, backend=counter)
         report = run_experiment(ctx, _every_method())
         assert not report.failed_cells
         assert set(counter.sent.values()) == {1}
@@ -1119,7 +1145,8 @@ def test_each_distinct_prompt_is_asked_once():
         assert report.shared_replies == 18 + 12 + 12 + 4
 
         ctx = replace(planted_pipeline(), max_in_flight=in_flight)
-        ctx.backend = counter = PromptCounter(ctx.backend)
+        counter = PromptCounter(ctx.backend)
+        ctx = replace(ctx, backend=counter)
         report, _ = run_sweep(ctx, _every_method(), [0.0, 0.5, 0.9, 1.0])
         assert not report.failed_cells
         assert set(counter.sent.values()) == {1}
@@ -1134,7 +1161,8 @@ def test_every_prompt_sent_is_the_reference_rendering():
     for fallback in ("knn", "random"):
         for in_flight in (1, 4):
             ctx = replace(planted_pipeline(), max_in_flight=in_flight)
-            ctx.backend = counter = PromptCounter(NoStep1For(ctx.backend, "gammasig"))
+            counter = PromptCounter(NoStep1For(ctx.backend, "gammasig"))
+            ctx = replace(ctx, backend=counter)
             report = run_experiment(ctx, replace(_every_method(), fallback=fallback))
             assert not report.failed_cells
             assert any(r["fallback"] for r in report.records)
@@ -1193,7 +1221,7 @@ def test_a_crash_mid_run_leaves_no_worker_thread(tmp_path, monkeypatch):
     unraisable = []
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
     ctx = replace(planted_pipeline(), max_in_flight=4)
-    ctx.backend = CrashAfter(CachedBackend(ctx.backend, tmp_path / "cache"), 40)
+    ctx = replace(ctx, backend=CrashAfter(CachedBackend(ctx.backend, tmp_path / "cache"), 40))
     before = set(threading.enumerate())
     with pytest.raises(RuntimeError, match="backend crashed"):
         run_experiment(ctx, _every_method(tmp_path / "run"))
@@ -1275,7 +1303,7 @@ class FinalCounter(Step1Counter):
 def test_alpha_sweep_is_one_run(tmp_path):
     ctx = planted_pipeline()
     sent = PromptCounter(ctx.backend)
-    ctx.backend = FinalCounter(sent)
+    ctx = replace(ctx, backend=FinalCounter(sent))
     alphas = [0.5, 0.9, 1.0]
 
     def cfg(out_dir):
