@@ -462,10 +462,17 @@ def _parse_methods(raw: list) -> list[MethodSpec]:
     return methods
 
 
-def cmd_eval(config: dict, args) -> int:
-    methods = _parse_methods(config["eval"]["methods"])
+def _run_setup(config: dict, methods: list[MethodSpec]) -> tuple[RunConfig, ExperimentContext]:
+    """eval's or sweep's run config and context; says when no p-value can be computed."""
     cfg = RunConfig(**{**config["eval"], "methods": methods})
     ctx = _context(config, methods, cfg.fallback)
+    if cfg.baseline not in [m.label() for m in cfg.methods]:
+        print(f"no p-values: the baseline {cfg.baseline!r} is not among this run's methods")
+    return cfg, ctx
+
+
+def cmd_eval(config: dict, args) -> int:
+    cfg, ctx = _run_setup(config, _parse_methods(config["eval"]["methods"]))
     with _closing(ctx.backend):
         report = run_experiment(ctx, cfg)
     for row in report.summary:
@@ -490,9 +497,7 @@ def _finish(ctx: ExperimentContext, report: RunReport) -> int:
 
 def cmd_sweep(config: dict, args) -> int:
     alphas = config["sweep"]["alphas"]
-    methods = [MethodSpec("marginsel", alpha=a) for a in alphas]
-    cfg = RunConfig(**{**config["eval"], "methods": methods})
-    ctx = _context(config, methods, cfg.fallback)
+    cfg, ctx = _run_setup(config, [MethodSpec("marginsel", alpha=a) for a in alphas])
     with _closing(ctx.backend):
         report, rows = run_sweep(ctx, cfg, alphas)
     for row in rows:

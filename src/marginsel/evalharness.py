@@ -139,14 +139,15 @@ class MethodSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    methods: list[MethodSpec]
-    shots: list[int] = field(default_factory=lambda: [2, 4, 6, 8, 10])
-    seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
+    methods: tuple[MethodSpec, ...]
+    shots: tuple[int, ...] = (2, 4, 6, 8, 10)
+    seeds: tuple[int, ...] = (0, 1, 2)
     fallback: str = FALLBACK_KNN
     baseline: str = RANDOM
     out_dir: str | Path | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "methods", tuple(self.methods))
         if not self.methods:
             raise ValueError("at least one method required")
         for name, values in (("shots", self.shots), ("seeds", self.seeds)):
@@ -155,6 +156,7 @@ class RunConfig:
                     or len(set(values)) < len(values)):
                 raise ValueError(f"{name} must be a non-empty list of distinct integers, "
                                  f"not {values!r}")
+            object.__setattr__(self, name, tuple(values))
         if any(s < 1 for s in self.shots):
             raise ValueError("shot counts must be positive")
         if self.fallback not in (FALLBACK_KNN, FALLBACK_RANDOM):

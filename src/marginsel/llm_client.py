@@ -1,12 +1,13 @@
 """Pluggable chat-completion backends: an HTTP client for real model
 endpoints and a deterministic keyword mock for tests and dry runs.
 
-Backends expose ``complete(system, user) -> (reply, attempts)``.  The HTTP
-backend posts the standard chat-completion JSON body to
+Backends expose ``complete(system, user) -> reply``, the reply a string.
+The HTTP backend posts the standard chat-completion JSON body to
 ``{base_url}/chat/completions`` and retries transport failures, 429 and
 5xx responses after a fully jittered exponential backoff, or after the
-reply's numeric Retry-After (capped by the timeout); other 4xx responses are
-never retried.  Responses can be cached in one append-only file keyed by
+reply's numeric Retry-After (capped by the timeout); other 4xx responses,
+and a 200 whose body is not JSON or holds no string content, raise
+Transport at once.  Responses can be cached in one append-only file keyed by
 hash(model, system, user, temperature), so a rerun makes zero backend calls.
 """
 
@@ -27,7 +28,7 @@ import time
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence, TypeVar
+from typing import TYPE_CHECKING, Iterable, Iterator, Protocol
 
 from .core import CandidateSet, LabelSpace, MarginSelError, candidate_set_from_labels, canonical_label
 
@@ -35,9 +36,6 @@ if TYPE_CHECKING:
     import requests
 
 log = logging.getLogger(__name__)
-
-T = TypeVar("T")
-U = TypeVar("U")
 
 REQUEST_BATCH = 256  # prompts complete_all draws ahead of their replies
 
@@ -86,7 +84,7 @@ class Backend(Protocol):
     model_name: str
     temperature: float
 
-    def complete(self, system: str, user: str) -> tuple[str, int]: ...
+    def complete(self, system: str, user: str) -> str: ...
 
 
 _RETRYABLE_STATUS = frozenset([429, *range(500, 600)])
@@ -137,12 +135,18 @@ class HttpBackend:
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
-    def _post_json(self, payload: dict) -> tuple[dict, int]:
+    def complete(self, system: str, user: str) -> str:
         import requests
 
+        with self._calls_lock:
+            self.calls += 1
         cfg = self.config
         url = cfg.base_url.rstrip("/") + "/chat/completions"
         headers = self._headers()
+        payload = {"model": cfg.model_name, "temperature": cfg.temperature,
+                   "max_tokens": cfg.max_output_tokens,
+                   "messages": [{"role": "system", "content": system},
+                                {"role": "user", "content": user}]}
         attempts = 0
         last_timeout = False
         last_error = "no attempt made"
@@ -154,9 +158,7 @@ class HttpBackend:
             attempts += 1
             retry_after = None
             try:
-                resp = self._session.post(
-                    url, json=payload, headers=headers, timeout=cfg.timeout
-                )
+                resp = self._session.post(url, json=payload, headers=headers, timeout=cfg.timeout)
             except requests.Timeout:
                 last_timeout = True
                 last_error = "request timed out"
@@ -171,33 +173,18 @@ class HttpBackend:
                 retry_after = _retry_after(resp, cfg.timeout)
                 continue
             if resp.status_code >= 400:
-                raise Transport(
-                    f"HTTP {resp.status_code}: {resp.text[:200]}",
-                    status=resp.status_code,
-                )
-            return resp.json(), attempts
+                raise Transport(f"HTTP {resp.status_code}: {resp.text[:200]}",
+                                status=resp.status_code)
+            try:
+                reply = resp.json()["choices"][0]["message"]["content"]
+            except (ValueError, LookupError, TypeError):
+                reply = None
+            if not isinstance(reply, str):
+                raise Transport(f"malformed completion body: {resp.text[:200]}")
+            return reply
         if last_timeout:
             raise Timeout(f"{last_error} after {attempts} attempts")
         raise Transport(f"{last_error} after {attempts} attempts")
-
-    def complete(self, system: str, user: str) -> tuple[str, int]:
-        with self._calls_lock:
-            self.calls += 1
-        payload = {
-            "model": self.config.model_name,
-            "temperature": self.config.temperature,
-            "max_tokens": self.config.max_output_tokens,
-            "messages": [
-                {"role": "system", "content": system},
-                {"role": "user", "content": user},
-            ],
-        }
-        body, attempts = self._post_json(payload)
-        try:
-            reply = body["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError):
-            raise Transport(f"malformed completion body: {str(body)[:200]}")
-        return reply, attempts
 
 
 @dataclass(frozen=True)
@@ -268,13 +255,13 @@ class MockBackend:
         ).hexdigest()[:12]
         self.model_name = f"mock-{fingerprint}"
 
-    def complete(self, system: str, user: str) -> tuple[str, int]:
+    def complete(self, system: str, user: str) -> str:
         self.calls += 1
         matched = mock_multilabel(self.rule, user, self.space)
         names = matched.labels_in(self.space)
         if "comma-separated" in user:
-            return f"<label>{','.join(names)}</label>", 1
-        return f"<label>{names[0]}</label>", 1
+            return f"<label>{','.join(names)}</label>"
+        return f"<label>{names[0]}</label>"
 
 
 class CachedBackend:
@@ -325,7 +312,7 @@ class CachedBackend:
                 except (ValueError, KeyError, TypeError) as exc:
                     log.warning("%s: bad line before byte %d: %s", self.path, self._indexed, exc)
 
-    def complete(self, system: str, user: str) -> tuple[str, int]:
+    def complete(self, system: str, user: str) -> str:
         entry = dict(model=self.model_name, temperature=self.temperature, system=system, user=user)
         key = _key(entry)
         with self._lock:
@@ -333,8 +320,8 @@ class CachedBackend:
                 self._read_new()
             if key in self._replies:
                 self.hits += 1
-                return self._replies[key], 0
-        entry["reply"], attempts = self.backend.complete(system, user)
+                return self._replies[key]
+        entry["reply"] = self.backend.complete(system, user)
         line = json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n"
         with self._lock:
             start, end = _append(self.path, line.encode("utf-8"))
@@ -342,7 +329,7 @@ class CachedBackend:
                 self._indexed = end
             self._replies[key] = entry["reply"]
             self.misses += 1
-        return entry["reply"], attempts
+        return entry["reply"]
 
 
 def _key(entry: dict) -> bytes:
@@ -387,23 +374,19 @@ def request_pool(max_in_flight: int) -> contextlib.AbstractContextManager[Execut
     return ThreadPoolExecutor(max_workers=max_in_flight)
 
 
-def pool_map(fn: Callable[[T], U], items: Sequence[T], pool: Executor | None) -> list[U]:
-    """fn applied to every item in input order: in the pool when there is
-    one and more than one item, else on the calling thread.  The first
-    exception propagates, and the calls not yet started are cancelled."""
-    if pool is None or len(items) <= 1:
-        return [fn(item) for item in items]
-    return list(pool.map(fn, items))
-
-
 def complete_all(
     backend: Backend, prompts: Iterable[tuple[str, str]], pool: Executor | None
 ) -> Iterator[str]:
-    """The reply to each (system, user) prompt, in order.  Only the
-    ``backend.complete`` calls go through the pool; prompts are drawn on the
-    calling thread, REQUEST_BATCH at a time, so no more than that many are
-    held at once."""
+    """The reply to each (system, user) prompt, in order.  Prompts are drawn
+    on the calling thread, REQUEST_BATCH at a time, so no more than that many
+    are held at once.  A batch goes through the pool when there is one and
+    the batch holds more than one prompt, else it runs on the calling
+    thread; the first exception propagates, and the calls of its batch not
+    yet started are cancelled."""
     prompts = iter(prompts)
     while batch := list(itertools.islice(prompts, REQUEST_BATCH)):
-        yield from (reply for reply, _ in pool_map(lambda p: backend.complete(*p), batch, pool))
+        if pool is None or len(batch) == 1:
+            yield from [backend.complete(*p) for p in batch]
+        else:
+            yield from list(pool.map(lambda p: backend.complete(*p), batch))
 

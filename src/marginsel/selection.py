@@ -133,19 +133,21 @@ def assign_candidates(
     space: LabelSpace,
     pool: Executor | None = None,
 ) -> list[CandidateSet]:
-    """Step 1 for inputs, training or test, in order: render each
-    multi-label assignment prompt here, send the prompts through the request
-    pool (or here, without one), and parse each distinct reply here, once,
-    into a candidate set that every input with that reply shares.
+    """Step 1 for inputs, training or test, in order: render the multi-label
+    assignment prompt of each distinct text here, send them through the
+    request pool (or here, without one) in first-occurrence order, and parse
+    each distinct reply here, once, into a candidate set that every input
+    with that reply shares.  Inputs with the same text share one request, so
+    a backend that samples gives the same sets with the cache on and off.
 
     A reply that carries no parseable known label yields the empty set
-    (logged for each input that gets it, never fatal), which can never
+    (logged for each text that gets it, never fatal), which can never
     hard-match anything.
     """
-    prompts = (render_candidate_prompt(template, text, space) for text in texts)
+    by_text: dict[str, CandidateSet] = dict.fromkeys(texts)
+    prompts = (render_candidate_prompt(template, text, space) for text in by_text)
     parsed: dict[str, CandidateSet] = {}
-    candidates = []
-    for text, reply in zip(texts, complete_all(backend, prompts, pool)):
+    for text, reply in zip(list(by_text), complete_all(backend, prompts, pool)):
         candidate_set = parsed.get(reply)
         if candidate_set is None:
             try:
@@ -153,8 +155,8 @@ def assign_candidates(
             except (NoTag, EmptySet) as exc:
                 log.warning("candidate parse failed for %.60r: %s", text, exc)
                 candidate_set = CandidateSet.empty(space)
-        candidates.append(candidate_set)
-    return candidates
+        by_text[text] = candidate_set
+    return [by_text[text] for text in texts]
 
 
 def build_lookup(

@@ -58,14 +58,14 @@ class MajorityEchoBackend:
         self.model_name = model_name
         self.calls = 0
 
-    def complete(self, system: str, user: str) -> tuple[str, int]:
+    def complete(self, system: str, user: str) -> str:
         self.calls += 1
         spans = [canonical_label(s) for s in _TAG.findall(user)]
         counts = Counter(s for s in spans if s in self.space)
         if not counts:
-            return "<label>unparseable</label>", 1
+            return "<label>unparseable</label>"
         best = max(self.space.labels, key=lambda l: counts.get(l, 0))
-        return f"<label>{best}</label>", 1
+        return f"<label>{best}</label>"
 
 
 class PlantedBackend:
@@ -97,21 +97,21 @@ class PlantedBackend:
     def _key_of(self, text: str) -> str:
         return candidate_key(mock_multilabel(self.rule, text, self.space))
 
-    def complete(self, system: str, user: str) -> tuple[str, int]:
+    def complete(self, system: str, user: str) -> str:
         self.calls += 1
         if "comma-separated" in user:
             matched = mock_multilabel(self.rule, user, self.space)
-            return f"<label>{','.join(matched.labels_in(self.space))}</label>", 1
+            return f"<label>{','.join(matched.labels_in(self.space))}</label>"
         demos = re.findall(r"Text: '(.*?)'\n<label>(.*?)</label>", user, re.DOTALL)
         test_text = re.search(r"Given the text: '(.*?)', pick", user, re.DOTALL).group(1)
         gold = self._gold_of(test_text)
         test_key = self._key_of(test_text)
         share = sum(1 for text, _ in demos if self._key_of(text) == test_key)
         if demos and 2 * share >= len(demos):
-            return f"<label>{gold}</label>", 1
+            return f"<label>{gold}</label>"
         labels = self.space.labels
         wrong = labels[(labels.index(gold) + 1) % len(labels)]
-        return f"<label>{wrong}</label>", 1
+        return f"<label>{wrong}</label>"
 
 
 def write_jsonl(path, records):

@@ -169,7 +169,7 @@ def test_select_unparseable_assignment_exits_4(tmp_path, capsys, monkeypatch):
         temperature = 0.0
 
         def complete(self, system, user):
-            return "I cannot decide.", 1
+            return "I cannot decide."
 
     config_path = make_workspace(tmp_path)
     main(["--config", str(config_path), "assign"])
@@ -289,6 +289,22 @@ def test_sweep_runs_over_alphas(tmp_path, capsys):
     assert "alpha=0.0" in out and "alpha=1.0" in out
     sweep = json.loads((tmp_path / "runs" / "sweep.json").read_text())
     assert [row["alpha"] for row in sweep] == [0.0, 1.0]
+
+
+def test_eval_and_sweep_say_when_the_baseline_is_not_run(tmp_path, capsys):
+    # A sweep runs marginsel only, so the default baseline "random" gets no
+    # p-value column, and the run says why.
+    config_path = make_workspace(tmp_path)
+    main(["--config", str(config_path), "assign"])
+    capsys.readouterr()
+    line = "no p-values: the baseline {!r} is not among this run's methods\n"
+    assert main(["--config", str(config_path), "sweep"]) == 0
+    assert capsys.readouterr().out.count(line.format("random")) == 1
+    assert main(["--config", str(config_path), "eval"]) == 0
+    assert "no p-values" not in capsys.readouterr().out
+    other = 'eval.baseline="marginsel(alpha=0.5)"'
+    assert main(["--config", str(config_path), "--set", other, "eval"]) == 0
+    assert capsys.readouterr().out.count(line.format("marginsel(alpha=0.5)")) == 1
 
 
 def test_eval_and_sweep_print_shared_replies(tmp_path, capsys):

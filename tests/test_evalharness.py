@@ -162,7 +162,7 @@ def test_predict_one_invalid_after_one_request():
 
         def complete(self, system, user):
             self.calls += 1
-            return "no tags here", 1
+            return "no tags here"
 
     ctx = _echo_ctx([("1", "x", "red"), ("2", "y", "green")])
     ctx = replace(ctx, backend=GarbageBackend())
@@ -185,7 +185,7 @@ def test_each_record_with_an_unparsed_reply_logs_and_predicts_invalid(caplog):
         def complete(self, system, user):
             if "comma-separated" in user:
                 return self.backend.complete(system, user)
-            return "no tags here", 1
+            return "no tags here"
 
     ctx = planted_pipeline()
     ctx = replace(ctx, test=Dataset(ctx.space, ctx.test.examples[:2]),
@@ -212,9 +212,9 @@ class FirstReplyGarbageBackend:
 
     def complete(self, system, user):
         if user in self.seen:
-            return "<label>red</label>", 1
+            return "<label>red</label>"
         self.seen.add(user)
-        return "garbage", 1
+        return "garbage"
 
 
 def test_cached_and_uncached_predictions_agree(tmp_path):
@@ -567,7 +567,7 @@ def test_each_test_input_is_ranked_once_per_run(monkeypatch):
 
         def complete(self, system, user):
             if "comma-separated" in user and "gammasig" in user:
-                return "no labels here", 1
+                return "no labels here"
             return self.backend.complete(system, user)
 
     ctx = planted_pipeline(with_store=True)
@@ -764,6 +764,18 @@ def test_a_context_or_run_config_cannot_be_edited_in_place():
         replace(ctx, train=smaller.train)
     train_ids = {ex.id for ex in ctx.train.examples}
     assert all(set(r["demo_ids"]) <= train_ids for r in run_experiment(ctx, cfg).records)
+
+
+def test_a_run_config_keeps_its_grid_in_tuples():
+    # A list field could grow in place past the shot and duplicate-method checks.
+    cfg = RunConfig([MethodSpec("random")], shots=[2, 4], seeds=[0])
+    assert (cfg.methods, cfg.shots, cfg.seeds) == ((MethodSpec("random"),), (2, 4), (0,))
+    with pytest.raises(AttributeError):
+        cfg.shots.append(0)
+    with pytest.raises(AttributeError):
+        cfg.methods.append(MethodSpec("random"))
+    assert replace(cfg, methods=[MethodSpec("knn")]).methods == (MethodSpec("knn"),)
+    assert RunConfig([MethodSpec("knn")]).shots == (2, 4, 6, 8, 10)
 
 
 def test_context_refuses_a_lookup_of_another_split():
@@ -1027,7 +1039,7 @@ class NoStep1For:
 
     def complete(self, system, user):
         if "comma-separated" in user and self.word in user:
-            return "no labels here", 1
+            return "no labels here"
         return self.backend.complete(system, user)
 
 
@@ -1086,7 +1098,7 @@ class Resampling:
             repeat = self.asked[system, user]
             self.asked[system, user] += 1
         if repeat and "comma-separated" not in user:
-            return f"<label>{self.labels[repeat % len(self.labels)]}</label>", 1
+            return f"<label>{self.labels[repeat % len(self.labels)]}</label>"
         return self.backend.complete(system, user)
 
 

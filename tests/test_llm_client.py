@@ -24,8 +24,8 @@ from marginsel.llm_client import (
     Timeout,
     Transport,
     backend_calls,
+    complete_all,
     mock_multilabel,
-    pool_map,
     request_pool,
 )
 
@@ -67,9 +67,8 @@ def test_mock_multilabel_default_and_purity():
 def test_mock_chat_reply_single_label():
     rule = MockRule({"terrible": frozenset({"negative"})}, default="neutral")
     backend = MockBackend(rule, SST5)
-    reply, attempts = backend.complete("s", "this movie is terrible")
-    assert reply == "<label>negative</label>"
-    assert attempts == 1
+    assert backend.complete("s", "this movie is terrible") == "<label>negative</label>"
+    assert backend.calls == 1
 
 
 def test_mock_chat_multi_when_prompt_asks_comma_separated():
@@ -78,7 +77,7 @@ def test_mock_chat_multi_when_prompt_asks_comma_separated():
         default="neutral",
     )
     backend = MockBackend(rule, SST5)
-    reply, _ = backend.complete("s", "terrible but great; reply comma-separated")
+    reply = backend.complete("s", "terrible but great; reply comma-separated")
     assert reply == "<label>negative,positive</label>"
 
 
@@ -93,10 +92,18 @@ def test_mock_is_referentially_transparent():
 # --------------------------------------------------------------------------
 
 
+_OK = {"choices": [{"message": {"content": "<label>ok</label>"}}]}
+
+
 class _ScriptedHandler(BaseHTTPRequestHandler):
+    """Replies with the script's next (status, payload[, headers]) entry, or
+    with answer(request body) once the script is empty.  A bytes payload is
+    sent as it is, any other as JSON."""
+
     script: list = []
     seen: list = []
     delay: float = 0.0
+    answer = staticmethod(lambda body: (200, _OK))
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", "0"))
@@ -111,11 +118,9 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         if type(self).delay:
             time.sleep(type(self).delay)
         status, payload, *headers = (
-            type(self).script.pop(0)
-            if type(self).script
-            else (200, {"choices": [{"message": {"content": "<label>ok</label>"}}]})
+            type(self).script.pop(0) if type(self).script else type(self).answer(body)
         )
-        encoded = json.dumps(payload).encode()
+        encoded = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         try:
             self.send_response(status)
             for name, value in (headers[0] if headers else {}).items():
@@ -136,6 +141,7 @@ def server():
     _ScriptedHandler.script = []
     _ScriptedHandler.seen = []
     _ScriptedHandler.delay = 0.0
+    _ScriptedHandler.answer = staticmethod(lambda body: (200, _OK))
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
@@ -160,9 +166,8 @@ def test_http_success_sends_expected_shape(server, monkeypatch):
     base_url, handler = server
     monkeypatch.setenv("TEST_API_KEY", "sekrit")
     backend = HttpBackend(_config(base_url, api_key_env="TEST_API_KEY"))
-    reply, attempts = backend.complete("sys prompt", "user prompt")
-    assert reply == "<label>ok</label>"
-    assert attempts == 1
+    assert backend.complete("sys prompt", "user prompt") == "<label>ok</label>"
+    assert len(handler.seen) == 1
     request = handler.seen[0]
     assert request["path"] == "/chat/completions"
     assert request["auth"] == "Bearer sekrit"
@@ -182,7 +187,7 @@ def test_http_backend_counts_its_calls(server):
         sys.setswitchinterval(1e-6)
         try:
             with request_pool(8) as pool:
-                pool_map(lambda i: backend.complete("s", f"u{i}"), range(16), pool)
+                list(complete_all(backend, [("s", f"u{i}") for i in range(16)], pool))
         finally:
             sys.setswitchinterval(switch)
         assert backend_calls(backend) == 18
@@ -196,9 +201,8 @@ def test_http_retries_5xx_then_succeeds(server):
         (200, {"choices": [{"message": {"content": "recovered"}}]}),
     ]
     backend = HttpBackend(_config(base_url))
-    reply, attempts = backend.complete("s", "u")
-    assert reply == "recovered"
-    assert attempts == 3
+    assert backend.complete("s", "u") == "recovered"
+    assert len(handler.seen) == 3
 
 
 def test_http_retries_429_then_succeeds(server):
@@ -208,9 +212,8 @@ def test_http_retries_429_then_succeeds(server):
         (200, {"choices": [{"message": {"content": "recovered"}}]}),
     ]
     backend = HttpBackend(_config(base_url))
-    reply, attempts = backend.complete("s", "u")
-    assert reply == "recovered"
-    assert attempts == 2
+    assert backend.complete("s", "u") == "recovered"
+    assert len(handler.seen) == 2
 
 
 def test_http_retry_after_replaces_the_backoff(server, monkeypatch):
@@ -230,9 +233,8 @@ def test_http_retry_after_replaces_the_backoff(server, monkeypatch):
     ]
     backend = HttpBackend(_config(base_url, backoff_base=0.25, max_retries=4))
     backend.jitter.seed(5)
-    reply, attempts = backend.complete("s", "u")
-    assert reply == "recovered"
-    assert attempts == 5
+    assert backend.complete("s", "u") == "recovered"
+    assert len(handler.seen) == 5
     replay = random.Random(5)
     assert slept == [2.0, 5.0, replay.uniform(0, 1.0), replay.uniform(0, 2.0)]
 
@@ -250,7 +252,8 @@ def test_http_backoff_is_fully_jittered(server, monkeypatch):
     config = _config(base_url, backoff_base=0.5, max_retries=4)
     with HttpBackend(config) as backend, HttpBackend(config) as other:
         backend.jitter.seed(11)
-        assert backend.complete("s", "u") == ("ok", 5)
+        assert backend.complete("s", "u") == "ok"
+        assert len(handler.seen) == 5
         assert other.jitter.random() != backend.jitter.random()
     replay = random.Random(11)
     assert slept == [replay.uniform(0, 0.5 * 2**n) for n in range(4)]
@@ -273,6 +276,47 @@ def test_http_exhausts_retries(server):
     with pytest.raises(Transport):
         backend.complete("s", "u")
     assert len(handler.seen) == 3
+
+
+_MALFORMED = {
+    "not-json": b"<html>502 Bad Gateway</html>",
+    "null-content": {"choices": [{"message": {"content": None}}]},
+    "numeric-content": {"choices": [{"message": {"content": 5}}]},
+}
+
+
+@pytest.mark.parametrize("body", _MALFORMED.values(), ids=list(_MALFORMED))
+def test_http_malformed_200_is_a_transport_error_and_not_retried(server, body):
+    base_url, handler = server
+    handler.script = [(200, body)]
+    with HttpBackend(_config(base_url)) as backend:
+        with pytest.raises(Transport, match="malformed completion body"):
+            backend.complete("s", "u")
+    assert len(handler.seen) == 1
+
+
+@pytest.mark.parametrize("body", _MALFORMED.values(), ids=list(_MALFORMED))
+def test_eval_reports_the_cells_a_malformed_reply_fails(server, tmp_path, capsys, body):
+    # Step-1 replies are malformed and final replies are not: the marginsel
+    # cells fail, the others score, report.json is written and eval exits 3.
+    from test_cli import make_workspace
+
+    base_url, handler = server
+    handler.answer = lambda request: (
+        (200, body) if "comma-separated" in request["messages"][1]["content"] else (200, _OK))
+    config_path = make_workspace(tmp_path)
+    assert main(["--config", str(config_path), "assign"]) == 0  # the mock backend
+    capsys.readouterr()
+    http = ["--set", 'backend.type="http"', "--set", f'backend.base_url="{base_url}"']
+    assert main(["--config", str(config_path), *http, "eval"]) == 3
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    cells = json.loads((tmp_path / "runs" / "report.json").read_text())["cells"]
+    failed = [c for c in cells if "error" in c]
+    assert [c["method"] for c in failed] == ["marginsel(alpha=1)"] * 2
+    assert all(c["error"].startswith("malformed completion body") for c in failed)
+    assert all("macro_f1" in c for c in cells if "error" not in c) and len(cells) == 6
+    assert out.count("FAILED cell marginsel(alpha=1)") == 2
 
 
 def test_http_timeout(server):
@@ -299,6 +343,23 @@ def test_auth_missing(server, monkeypatch):
         backend.complete("s", "u")
 
 
+def test_every_backend_complete_returns_a_str(server, tmp_path):
+    # The backend contract is complete(system, user) -> reply: a backend that
+    # returns anything else fails here, not in a parse downstream.
+    base_url, _ = server
+    rule = MockRule({"x": frozenset({"positive"})}, default="neutral")
+    cache = CachedBackend(MockBackend(rule, SST5), tmp_path)
+    with HttpBackend(_config(base_url)) as http:
+        replies = {
+            "mock": MockBackend(rule, SST5).complete("s", "x"),
+            "cache miss": cache.complete("s", "x"),
+            "cache hit": cache.complete("s", "x"),
+            "http": http.complete("s", "u"),
+        }
+    assert (cache.hits, cache.misses) == (1, 1)
+    assert {name: type(reply) for name, reply in replies.items()} == dict.fromkeys(replies, str)
+
+
 def test_backend_config_bounds():
     with pytest.raises(ValueError):
         BackendConfig(max_retries=11)
@@ -315,10 +376,11 @@ def test_cache_second_call_is_free(tmp_path):
     rule = MockRule({"x": frozenset({"positive"})}, default="neutral")
     inner = MockBackend(rule, SST5)
     backend = CachedBackend(inner, tmp_path / "cache")
-    first, _ = backend.complete("s", "x please")
-    second, attempts = backend.complete("s", "x please")
+    first = backend.complete("s", "x please")
+    assert (backend.hits, backend.misses) == (0, 1)
+    second = backend.complete("s", "x please")
     assert first == second
-    assert attempts == 0
+    assert (backend.hits, backend.misses) == (1, 1)
     assert inner.calls == 1
     assert backend.hits == 1 and backend.misses == 1
 
@@ -327,7 +389,7 @@ def test_a_read_only_cache_serves_a_warm_rerun(tmp_path, monkeypatch):
     rule = MockRule({"x": frozenset({"positive"})}, default="neutral")
     prompts = [("s", f"x {i}") for i in range(5)] + [("s", "plain")]
     first = CachedBackend(MockBackend(rule, SST5), tmp_path)
-    replies = [first.complete(*p)[0] for p in prompts]
+    replies = [first.complete(*p) for p in prompts]
     real_open = open
 
     def read_only(file, mode="r", *args, **kwargs):
@@ -338,8 +400,8 @@ def test_a_read_only_cache_serves_a_warm_rerun(tmp_path, monkeypatch):
     monkeypatch.setattr("builtins.open", read_only)
     inner = MockBackend(rule, SST5)
     rerun = CachedBackend(inner, tmp_path)
-    assert [rerun.complete(*p) for p in prompts] == [(reply, 0) for reply in replies]
-    assert inner.calls == 0 and rerun.hits == len(prompts)
+    assert [rerun.complete(*p) for p in prompts] == replies
+    assert inner.calls == 0 and rerun.hits == len(prompts) and rerun.misses == 0
 
 
 def test_a_miss_opens_the_cache_file_once(tmp_path, monkeypatch):
@@ -377,8 +439,8 @@ def test_cache_survives_backend_swap(tmp_path, server):
     base_url, handler = server
     handler.script = [(200, {"choices": [{"message": {"content": "first"}}]})]
     cached = CachedBackend(HttpBackend(_config(base_url)), tmp_path)
-    assert cached.complete("s", "u")[0] == "first"
-    assert cached.complete("s", "u")[0] == "first"
+    assert cached.complete("s", "u") == "first"
+    assert cached.complete("s", "u") == "first"
     assert len(handler.seen) == 1
 
 
@@ -390,7 +452,7 @@ def test_cache_counters_lose_no_update_under_threads(tmp_path):
     sys.setswitchinterval(1e-6)
     try:
         with request_pool(8) as pool:
-            pool_map(lambda user: backend.complete("s", user), prompts, pool)
+            list(complete_all(backend, [("s", user) for user in prompts], pool))
     finally:
         sys.setswitchinterval(interval)
     assert backend.hits + backend.misses == len(prompts)
@@ -400,15 +462,15 @@ def test_cache_counters_lose_no_update_under_threads(tmp_path):
 _WRITER = """
 import sys, time
 from marginsel.core import LabelSpace
-from marginsel.llm_client import CachedBackend, MockBackend, MockRule, pool_map, request_pool
+from marginsel.llm_client import CachedBackend, MockBackend, MockRule, complete_all, request_pool
 space = LabelSpace(["very negative", "negative", "neutral", "positive", "very positive"])
 rule = MockRule({"x": frozenset({"positive"})}, default="neutral")
 cache = CachedBackend(MockBackend(rule, space), sys.argv[1])
 first, count, start_at = int(sys.argv[2]), int(sys.argv[3]), float(sys.argv[4])
 time.sleep(max(0.0, start_at - time.time()))
 with request_pool(4) as pool:
-    pool_map(lambda i: cache.complete("s", f"x {i} " + "pad " * 1000 * (i % 4)),
-             range(first, first + count), pool)
+    list(complete_all(cache, [("s", f"x {i} " + "pad " * 1000 * (i % 4))
+                              for i in range(first, first + count)], pool))
 print(cache.misses)
 """
 
@@ -450,8 +512,8 @@ def test_two_processes_share_one_cache(tmp_path):
     inner = MockBackend(MockRule({"x": frozenset({"positive"})}, default="neutral"), SST5)
     fresh = CachedBackend(inner, tmp_path)
     for i in range(450):
-        assert fresh.complete("s", _prompt(i)) == ("<label>positive</label>", 0)
-    assert inner.calls == 0
+        assert fresh.complete("s", _prompt(i)) == "<label>positive</label>"
+    assert inner.calls == 0 and (fresh.hits, fresh.misses) == (450, 0)
 
 
 def test_a_miss_picks_up_what_another_process_appended(tmp_path):
@@ -460,7 +522,7 @@ def test_a_miss_picks_up_what_another_process_appended(tmp_path):
     assert _write_from_processes(tmp_path, [0], 5) == [5]
     assert len((tmp_path / "responses.jsonl").read_bytes().splitlines()) == 5
     for i in range(5):
-        assert cache.complete("s", _prompt(i)) == ("<label>positive</label>", 0)
+        assert cache.complete("s", _prompt(i)) == "<label>positive</label>"
     assert (inner.calls, cache.hits, cache.misses) == (0, 5, 0)
     # A line another writer has not finished when the cache reads it is read
     # once it is whole.
@@ -471,8 +533,8 @@ def test_a_miss_picks_up_what_another_process_appended(tmp_path):
     cache = CachedBackend(inner, tmp_path)
     with open(tmp_path / "responses.jsonl", "ab") as fh:
         fh.write(late[40:])
-    assert cache.complete("s", "x late") == ("<label>neutral</label>", 0)
-    assert inner.calls == 0
+    assert cache.complete("s", "x late") == "<label>neutral</label>"
+    assert inner.calls == 0 and (cache.hits, cache.misses) == (1, 0)
 
 
 def test_a_torn_last_line_is_skipped(tmp_path):
@@ -483,16 +545,20 @@ def test_a_torn_last_line_is_skipped(tmp_path):
     path = tmp_path / "responses.jsonl"
     path.write_bytes(path.read_bytes()[:-30])  # its writer was killed mid-line
     cache = CachedBackend(inner, tmp_path)
-    assert cache.complete("s", "x kept")[1] == 0
-    assert cache.complete("s", "x torn")[1] == 1
-    assert cache.complete("s", "x new")[1] == 1
+    cache.complete("s", "x kept")
+    assert (cache.hits, cache.misses) == (1, 0)
+    cache.complete("s", "x torn")
+    assert (cache.hits, cache.misses) == (1, 1)
+    cache.complete("s", "x new")
+    assert (cache.hits, cache.misses) == (1, 2)
     lines = path.read_bytes().split(b"\n")
     assert len(lines) == 5 and lines[-1] == b""
     assert [json.loads(line)["user"] for line in lines[2:4]] == ["x torn", "x new"]
     calls = inner.calls
     fresh = CachedBackend(inner, tmp_path)
     for user in ("x kept", "x torn", "x new"):
-        assert fresh.complete("s", user)[1] == 0
+        fresh.complete("s", user)
+    assert (fresh.hits, fresh.misses) == (3, 0)
     assert inner.calls == calls
 
 
@@ -521,7 +587,7 @@ def test_http_sessions_are_closed(server, tmp_path, monkeypatch):
     monkeypatch.setattr(requests, "Session", Session)
     base_url, _ = server
     with HttpBackend(_config(base_url)) as backend:
-        assert backend.complete("s", "u")[0] == "<label>ok</label>"
+        assert backend.complete("s", "u") == "<label>ok</label>"
     config_path = make_workspace(tmp_path)
     http = ["--set", 'backend.type="http"', "--set", f'backend.base_url="{base_url}"']
     assert main(["--config", str(config_path), *http, "assign"]) == 0

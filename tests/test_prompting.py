@@ -184,7 +184,7 @@ def test_round_trip_render_then_echo_parses_back():
     backend = MajorityEchoBackend(space)
     demos = [("one", "green"), ("two", "green"), ("three", "red")]
     system, user = render_final_prompt(final, demos, "query text", space)
-    reply, _ = backend.complete(system, user)
+    reply = backend.complete(system, user)
     assert parse_label_tags(reply, space, multi=False) == "green"
 
 

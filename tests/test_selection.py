@@ -22,6 +22,7 @@ from marginsel.selection import (
     Pool,
     MissingFrequency,
     PrefixDraw,
+    assign_candidates,
     build_lookup,
     hard_picks,
     load_lookup,
@@ -88,7 +89,7 @@ def test_build_lookup_degraded_entry_on_bad_reply(caplog):
         temperature = 0.0
 
         def complete(self, system, user):
-            return "no tags at all", 1
+            return "no tags at all"
 
     # both texts get the same bad reply, and each logs its own failure
     train = make_dataset(RGB, [("1", "whatever", "red"), ("2", "anything", "green")])
@@ -100,6 +101,37 @@ def test_build_lookup_degraded_entry_on_bad_reply(caplog):
     failures = [r.getMessage() for r in caplog.records if "parse failed" in r.getMessage()]
     assert len(failures) == 2
     assert "'whatever'" in failures[0] and "'anything'" in failures[1]
+
+
+class SamplingBackend:
+    """Answers each request with the next label of a cycle, as a backend that
+    samples may give another reply to the same prompt."""
+
+    model_name = "sampler"
+    temperature = 1.0
+
+    def __init__(self):
+        self.calls = 0
+
+    def complete(self, system, user):
+        self.calls += 1
+        return f"<label>{RGB.labels[self.calls % 3]}</label>"
+
+
+def test_step1_asks_each_distinct_text_once(tmp_path):
+    # Inputs with the same text share one request and one candidate set, so
+    # a sampling backend gives the same sets with the response cache on and off.
+    texts = ["same words"] * 3 + ["other words"] + ["same words"] * 3
+    candidate_template, _ = synthetic_templates()
+    runs = []
+    for cache_dir in (None, tmp_path / "cache"):
+        sampler = SamplingBackend()
+        backend = sampler if cache_dir is None else CachedBackend(sampler, cache_dir)
+        runs.append(assign_candidates(backend, candidate_template, texts, RGB))
+        assert sampler.calls == 2
+    assert runs[0] == runs[1]
+    # asked in first-occurrence order: "same words" got the first reply
+    assert [c.labels_in(RGB) for c in runs[0]] == [("green",)] * 3 + [("blue",)] + [("green",)] * 3
 
 
 def test_lookup_round_trip_is_byte_identical(tmp_path):
